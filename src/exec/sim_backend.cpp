@@ -31,9 +31,8 @@ ExecResult SimBackend::run(const ExecOptions& opts) {
   const auto n = net_.params().n;
   net_.start();
 
-  // Per-party probe: serially this reproduces the historical global
-  // all-correct-done conjunction byte for byte; with parallel workers the
-  // network fans scheduler steps out and stays bit-identical (see net/sim).
+  // Per-party probe: the network checks it over every correct party after
+  // each delivery.
   net::SimNetwork::PartyDone party_done;
   if (opts.done) {
     party_done = [&opts](ProcessId, const net::Process& proc) {
@@ -47,7 +46,6 @@ ExecResult SimBackend::run(const ExecOptions& opts) {
   res.outputs = net_.correct_outputs();
   res.vector_outputs = net_.correct_vector_outputs();
   res.metrics = net_.metrics();
-  res.exec_stats = net_.exec_stats();
   res.correct.resize(n);
   res.output_times.resize(n);
   for (ProcessId p = 0; p < n; ++p) {

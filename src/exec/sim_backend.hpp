@@ -9,6 +9,7 @@
 
 #include <memory>
 
+#include "common/ensure.hpp"
 #include "exec/backend.hpp"
 #include "net/sim.hpp"
 
@@ -24,10 +25,10 @@ class SimBackend final : public Backend {
   void crash_after_sends(ProcessId p, std::uint64_t count) override;
   void set_multicast_order(ProcessId p, std::vector<ProcessId> order) override;
   void enable_batching(std::uint32_t max_frames) override;
-  /// Deterministic within-run parallelism: fan scheduler steps across
-  /// `workers` threads (1 = serial; results are bit-identical either way).
-  void set_parallel_workers(std::uint32_t workers) {
-    net_.set_parallel_workers(workers);
+  /// Accepts only 1 (the simulator is serial).  Kept only because
+  /// perfbench/ calls it.
+  void set_parallel_workers(std::uint32_t w) {
+    APXA_ENSURE(w == 1, "the simulator is serial: set_parallel_workers(1) only");
   }
   void set_trace(obs::TraceSink* sink) override { net_.set_trace(sink); }
   ExecResult run(const ExecOptions& opts) override;

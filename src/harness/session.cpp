@@ -85,25 +85,21 @@ class RouterProcess final : public net::Process {
     note_decided(env->instance);
   }
 
+  /// O(1): a sub's output only changes inside its own upcall, where
+  /// note_decided already counts it.
   [[nodiscard]] bool has_output() const override {
-    for (const auto& s : subs_) {
-      if (!s->has_output()) return false;
-    }
-    return true;
+    return decided_count_ == subs_.size();
   }
 
  private:
   void note_decided(std::uint32_t i) {
     if (decided_[i] || !subs_[i]->has_output()) return;
     decided_[i] = true;
+    ++decided_count_;
     const double t = clock_->now();
     clock_->time[i][self_] = t;
     if (trace_) {
-      // Committed serial order, like every protocol-domain record: the
-      // deferral keeps traced parallel-sim runs bit-identical to serial.
-      net::SimNetwork::defer_side_effect([trace = trace_, self = self_, i, t] {
-        trace->record(obs::EventKind::kInstanceFinish, self, i, -1, t, t);
-      });
+      trace_->record(obs::EventKind::kInstanceFinish, self_, i, -1, t, t);
     }
   }
 
@@ -112,6 +108,7 @@ class RouterProcess final : public net::Process {
   DecideClock* clock_;
   obs::TraceSink* trace_;
   std::vector<bool> decided_;
+  std::size_t decided_count_ = 0;
 };
 
 struct SharedSettings {
@@ -250,35 +247,25 @@ SessionReport Session::run_multiplexed() {
   std::vector<std::vector<std::unique_ptr<net::Process>>> rows(K);
   for (std::size_t i = 0; i < K; ++i) {
     if (instances_[i].scalar) {
-      // Trace writes route through defer_side_effect so the parallel
-      // simulator holds them back until the triggering delivery commits
-      // (immediate everywhere else — see net::SimNetwork).
       core::TraceFn fn = [&straces, &trace_mu, i](ProcessId p, Round r,
                                                   double v) {
-        net::SimNetwork::defer_side_effect([&straces, &trace_mu, i, p, r, v] {
-          std::scoped_lock lock(trace_mu);
-          straces[i][r][p] = v;
-        });
+        std::scoped_lock lock(trace_mu);
+        straces[i][r][p] = v;
       };
       rows[i] = build_processes(*instances_[i].scalar, fn);
     } else {
       core::VecTraceFn fn = [&vtraces, &trace_mu, i](
                                 ProcessId p, Round r,
                                 const std::vector<double>& v) {
-        net::SimNetwork::defer_side_effect([&vtraces, &trace_mu, i, p, r, v] {
-          std::scoped_lock lock(trace_mu);
-          vtraces[i][r][p] = v;
-        });
+        std::scoped_lock lock(trace_mu);
+        vtraces[i][r][p] = v;
       };
       core::ViewTraceFn vfn =
           [&viewtraces, &trace_mu, i](
               ProcessId p, Round r,
               const std::vector<core::CollectEntry>& view) {
-            net::SimNetwork::defer_side_effect(
-                [&viewtraces, &trace_mu, i, p, r, view] {
-                  std::scoped_lock lock(trace_mu);
-                  viewtraces[i][r][p] = view;
-                });
+            std::scoped_lock lock(trace_mu);
+            viewtraces[i][r][p] = view;
           };
       rows[i] = build_processes(*instances_[i].vec, fn, vfn);
     }
@@ -294,12 +281,6 @@ SessionReport Session::run_multiplexed() {
                      : make_scheduler(*instances_.front().vec);
     auto sim = std::make_unique<exec::SimBackend>(shared.params,
                                                   std::move(sched));
-    // K multiplexed instances make every virtual-time step carry ~K times
-    // the deliveries of a single run, so large sessions default to parallel
-    // fan-out (still bit-identical to serial).
-    const std::uint32_t w = net::resolved_sim_workers(
-        opts_.sim_workers, K >= kStepDenseSessionInstances, shared.params.n);
-    if (w > 1) sim->set_parallel_workers(w);
     auto* simp = sim.get();
     clock.now = [simp] { return simp->network().now(); };
     backend = std::move(sim);

@@ -16,20 +16,10 @@
 // all randomness comes from seeded Rng instances, so a simulation replays
 // bit-identically from its configuration.
 //
-// Parallel execution (set_parallel_workers / APXA_SIM_WORKERS): within one
-// scheduler step — the set of pending events sharing the minimal delivery
-// time — deliveries to DISTINCT parties are independent, because an upcall
-// only mutates its own party's state and every send it produces lands
-// strictly later (delays are > 0).  run_until_done fans such steps out
-// across a worker pool with a barrier per step: workers run the upcalls and
-// stage each event's sends and deferred side effects; a serial commit walk
-// then replays the staged sends through the real do_send path in event-seq
-// order, so crash budgets, batching, scheduler delay/on_deliver calls and
-// duplication RNG draws happen in EXACTLY the serial order and parallel runs
-// are bit-identical to serial runs.  Steps the delivery budget could cut
-// short run serially (exact mid-step stop semantics); completion probes must
-// be monotone (once true for a process, true forever — the same contract
-// rt::ThreadNetwork's latched done flags already impose).
+// Execution is one serial event loop: pop the earliest pending event, run
+// the receiver's upcall, enqueue what it sends, repeat.  Harness hooks that
+// fire inside an upcall (trace maps, trace records) therefore run at their
+// natural point in the event order.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +36,6 @@
 #include "net/metrics.hpp"
 #include "net/process.hpp"
 #include "net/status.hpp"
-#include "obs/telemetry.hpp"
 #include "obs/trace.hpp"
 #include "sched/scheduler.hpp"
 
@@ -54,21 +43,11 @@ namespace apxa::net {
 
 enum class PartyStatus : std::uint8_t { kCorrect, kCrashed, kByzantine };
 
-/// Resolve a requested sim worker count: explicit request wins, else the
-/// APXA_SIM_WORKERS environment variable (positive integer), else 1 (serial).
-/// Symmetric with harness::sweep_workers / APXA_SWEEP_WORKERS.
-[[nodiscard]] std::uint32_t resolved_sim_workers(std::uint32_t requested);
-
-/// Same precedence (explicit > APXA_SIM_WORKERS), but when neither is given
-/// and the caller knows the run is STEP-DENSE — many deliveries sharing each
-/// virtual-time step, as in heavily multiplexed sessions — default to
-/// min(hardware_concurrency, n) instead of serial.  Parallel fan-out is
-/// bit-identical to serial by construction, so the only tradeoff is barrier
-/// overhead, which step-dense runs amortize; sparse runs (the common
-/// single-instance case) keep the serial default.
-[[nodiscard]] std::uint32_t resolved_sim_workers(std::uint32_t requested,
-                                                 bool step_dense,
-                                                 std::uint32_t n);
+/// Always 1: the simulator is serial.  Kept only because perfbench/ calls it.
+[[nodiscard]] inline std::uint32_t resolved_sim_workers(std::uint32_t, bool,
+                                                        std::uint32_t) {
+  return 1;
+}
 
 class SimNetwork final {
  public:
@@ -110,70 +89,31 @@ class SimNetwork final {
   /// unbatched path is byte-identical to pre-batching builds.
   void enable_batching(std::uint32_t max_frames);
 
-  /// Number of worker threads run_until_done may fan a scheduler step across.
-  /// 1 (the default) is the serial event loop; values > 1 enable the
-  /// deterministic parallel path (bit-identical results — see header
-  /// comment).  0 is rejected with an ensure error, never silently clamped;
-  /// use net::resolved_sim_workers to apply the APXA_SIM_WORKERS default.
-  void set_parallel_workers(std::uint32_t workers);
-  [[nodiscard]] std::uint32_t parallel_workers() const { return workers_; }
-
-  /// Attach a trace sink (null disables tracing; the default).  Protocol
-  /// events are recorded from the committed serial event order, so a traced
-  /// parallel run's protocol stream is bit-identical to the serial run's
-  /// (executor-domain step events are the only parallel-specific records).
-  /// The sink must outlive the network.
+  /// Attach a trace sink (null disables tracing; the default).  The sink
+  /// must outlive the network.
   void set_trace(obs::TraceSink* sink) { trace_ = sink; }
   [[nodiscard]] obs::TraceSink* trace() const { return trace_; }
-
-  /// Per-run parallelism counters: scheduler steps committed, how many
-  /// fanned across the crew, and how many deliveries those fanned steps
-  /// carried.  All zero until run_until_done runs with workers > 1.
-  [[nodiscard]] obs::ExecStats exec_stats() const {
-    obs::ExecStats s;
-    s.workers = workers_;
-    s.steps = steps_;
-    s.fanned_steps = fanned_steps_;
-    s.fanned_events = fanned_events_;
-    return s;
-  }
 
   /// Invoke on_start on every party (in id order) at time 0.
   void start();
 
   /// Deliver messages until the predicate holds, the queue drains, or the
   /// budget is exhausted.  The predicate is checked after every delivery.
-  /// Always serial: an opaque global predicate cannot be evaluated during a
-  /// fanned-out step (use run_until_done for the parallel path).
   RunStatus run_until(const std::function<bool()>& pred,
                       std::uint64_t max_deliveries = 50'000'000);
 
   /// Per-party completion probe: `done(p, process(p))` is consulted only for
-  /// currently-correct parties and MUST be monotone (once true, true on
-  /// every later call).  May be called from worker threads in parallel mode;
-  /// it must only read the probed process.
+  /// currently-correct parties.
   using PartyDone = std::function<bool(ProcessId, const Process&)>;
 
   /// Deliver until every correct party satisfies `done` (empty = "has
-  /// produced an output"), the queue drains, or the budget is exhausted.
-  /// With parallel_workers() == 1 this is exactly run_until over the
-  /// all-correct-done conjunction; with workers > 1 it fans scheduler steps
-  /// out and commits them serially — same results, bit for bit.  After a
-  /// parallel run stops mid-step (predicate satisfied), the network must not
-  /// be resumed: un-committed events are re-queued for status accounting,
-  /// but their upcalls have already speculatively run.
+  /// produced an output"), the queue drains, or the budget is exhausted:
+  /// run_until over the all-correct-done conjunction.
   RunStatus run_until_done(const PartyDone& done,
                            std::uint64_t max_deliveries = 50'000'000);
 
   /// Deliver until the queue drains (or budget).
   RunStatus run(std::uint64_t max_deliveries = 50'000'000);
-
-  /// Harness hooks that mutate state outside the simulator (trace maps, …)
-  /// from inside an upcall route their writes through here.  Serially this
-  /// runs `fn` immediately; inside a parallel-phase worker it is attached to
-  /// the current event and executed — in serial event order — iff that event
-  /// commits, which keeps overshoot upcalls invisible in collected traces.
-  static void defer_side_effect(std::function<void()> fn);
 
   /// True when every correct party has produced an output.
   [[nodiscard]] bool all_correct_output() const;
@@ -211,23 +151,6 @@ class SimNetwork final {
   };
 
   class ContextImpl;
-  class StageContext;
-  class Crew;
-
-  /// Staged record of one event's parallel-phase execution, committed (or
-  /// discarded) by the serial walk.
-  struct StagedSend {
-    ProcessId to;
-    Bytes payload;
-  };
-  struct EventRecord {
-    bool delivered = false;   // destination not crashed at its in-step turn
-    std::uint64_t frames = 0;  // logical frames delivered (metrics)
-    std::vector<StagedSend> sends;               // raw frames, upcall order
-    std::vector<std::function<void()>> effects;  // deferred side effects
-    bool output_after = false;  // process had output after this event
-    int done_after = -1;        // -1 not probed; else probe result 0/1
-  };
 
   void do_send(ProcessId from, ProcessId to, Bytes payload);
   void do_multicast(ProcessId from, const Bytes& payload);
@@ -235,7 +158,6 @@ class SimNetwork final {
   void flush_sender(ProcessId from);
   void apply_timed_crashes(double up_to);
   void note_outputs();
-  RunStatus run_parallel(const PartyDone& done, std::uint64_t max_deliveries);
 
   SystemParams params_;
   std::unique_ptr<sched::Scheduler> scheduler_;
@@ -256,22 +178,9 @@ class SimNetwork final {
   std::optional<Rng> duplication_rng_;
   std::uint32_t max_batch_ = 0;  // 0 = batching off
   std::vector<std::vector<std::vector<Bytes>>> batch_buf_;  // [from][to]
-  std::uint32_t workers_ = 1;
   obs::TraceSink* trace_ = nullptr;
-  std::uint64_t steps_ = 0;
-  std::uint64_t fanned_steps_ = 0;
-  std::uint64_t fanned_events_ = 0;
-
-  // In-step shadow state for the parallel phase: per-party copies of
-  // status/sends so a worker can decide drops and send-limit crashes for ITS
-  // party without touching the real accounting (the commit walk replays
-  // that).  Writes are owner-confined — party p's entries are only touched
-  // by the worker processing p's event group.
-  std::vector<PartyStatus> step_status_;
-  std::vector<std::uint64_t> step_sends_;
 
   static constexpr std::uint64_t kNoLimit = UINT64_MAX;
-  static constexpr std::uint32_t kMaxWorkers = 1024;
 };
 
 }  // namespace apxa::net

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "net/envelope.hpp"
@@ -56,14 +57,30 @@ TEST(SimNetwork, AllToAllDelivery) {
 }
 
 TEST(SimNetwork, DeterministicReplay) {
-  auto run_once = [](std::uint64_t seed) {
+  struct Outcome {
+    double now;
+    std::vector<double> outputs;
+    std::uint64_t delivered;
+  };
+  auto run_once = [](std::uint64_t seed, bool duplicate) {
     auto net = make_echo_net({6, 1}, seed);
+    if (duplicate) net.enable_duplication(0.5, seed + 1000);
     net.start();
     net.run();
-    return net.now();
+    return Outcome{net.now(), net.correct_outputs(),
+                   net.metrics().messages_delivered};
   };
-  EXPECT_EQ(run_once(77), run_once(77));
-  EXPECT_NE(run_once(77), run_once(78));
+  for (const bool duplicate : {false, true}) {
+    SCOPED_TRACE(duplicate ? "duplication on" : "duplication off");
+    const Outcome a = run_once(77, duplicate);
+    const Outcome b = run_once(77, duplicate);
+    EXPECT_EQ(a.now, b.now);
+    EXPECT_EQ(a.outputs, b.outputs);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_NE(a.now, run_once(78, duplicate).now);
+  }
+  // Duplication really happened: more deliveries than the 6 * 5 sends.
+  EXPECT_GT(run_once(77, true).delivered, 6u * 5u);
 }
 
 TEST(SimNetwork, DelaysRespectDelta) {
