@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "analysis/rate_meter.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 #include "harness/run_many.hpp"
 
 namespace apxa::bench {
@@ -244,16 +244,16 @@ struct MeasuredRate {
 
 /// The (scheduler x seed) live-run config grid the rate/round measurements
 /// sweep, in scheduler-major seed order.
-inline std::vector<core::RunConfig> sweep_grid(
-    core::RunConfig base, Round horizon, const std::vector<core::SchedKind>& scheds,
+inline std::vector<harness::RunConfig> sweep_grid(
+    harness::RunConfig base, Round horizon, const std::vector<harness::SchedKind>& scheds,
     std::uint32_t seeds) {
   base.mode = core::TerminationMode::kLive;
   base.fixed_rounds = horizon;
-  std::vector<core::RunConfig> grid;
+  std::vector<harness::RunConfig> grid;
   grid.reserve(scheds.size() * seeds);
   for (const auto sched : scheds) {
     for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
-      core::RunConfig cfg = base;
+      harness::RunConfig cfg = base;
       cfg.sched = sched;
       cfg.seed = seed;
       grid.push_back(std::move(cfg));
@@ -262,8 +262,8 @@ inline std::vector<core::RunConfig> sweep_grid(
   return grid;
 }
 
-inline MeasuredRate measure_worst_rate(core::RunConfig base, Round horizon,
-                                       const std::vector<core::SchedKind>& scheds,
+inline MeasuredRate measure_worst_rate(harness::RunConfig base, Round horizon,
+                                       const std::vector<harness::SchedKind>& scheds,
                                        std::uint32_t seeds) {
   std::vector<analysis::RateSummary> all;
   for (const auto& rep :
@@ -283,9 +283,9 @@ inline std::vector<std::vector<double>> adversarial_input_families(
   for (std::uint32_t hi_count :
        {1u, std::max(1u, p.t), p.n / 2, p.n - p.t - 1, p.n - 1}) {
     if (hi_count == 0 || hi_count >= p.n) continue;
-    fams.push_back(core::split_inputs(p.n, hi_count, lo, hi));
+    fams.push_back(harness::split_inputs(p.n, hi_count, lo, hi));
   }
-  fams.push_back(core::linear_inputs(p.n, lo, hi));
+  fams.push_back(harness::linear_inputs(p.n, lo, hi));
   return fams;
 }
 
@@ -296,19 +296,19 @@ inline std::vector<std::vector<double>> adversarial_input_families(
 /// measurable rate.  Aggregation stays per base (and per family within it),
 /// so out[b] is identical to measuring bases[b] alone.
 inline std::vector<MeasuredRate> measure_worst_rates_over_inputs(
-    const std::vector<core::RunConfig>& bases, Round horizon,
-    const std::vector<core::SchedKind>& scheds, std::uint32_t seeds) {
+    const std::vector<harness::RunConfig>& bases, Round horizon,
+    const std::vector<harness::SchedKind>& scheds, std::uint32_t seeds) {
   struct Owner {
     std::size_t base, family;
   };
-  std::vector<core::RunConfig> grid;
+  std::vector<harness::RunConfig> grid;
   std::vector<Owner> owner;  // grid index -> (base, family)
   std::vector<std::size_t> family_count(bases.size());
   for (std::size_t b = 0; b < bases.size(); ++b) {
     auto families = adversarial_input_families(bases[b].params, 0.0, 1.0);
     family_count[b] = families.size();
     for (std::size_t f = 0; f < families.size(); ++f) {
-      core::RunConfig cfg = bases[b];
+      harness::RunConfig cfg = bases[b];
       cfg.inputs = families[f];
       for (auto& g : sweep_grid(std::move(cfg), horizon, scheds, seeds)) {
         grid.push_back(std::move(g));
@@ -341,7 +341,7 @@ inline std::vector<MeasuredRate> measure_worst_rates_over_inputs(
 
 /// Single-config convenience over the batched version.
 inline MeasuredRate measure_worst_rate_over_inputs(
-    core::RunConfig base, Round horizon, const std::vector<core::SchedKind>& scheds,
+    harness::RunConfig base, Round horizon, const std::vector<harness::SchedKind>& scheds,
     std::uint32_t seeds) {
   return measure_worst_rates_over_inputs({std::move(base)}, horizon, scheds,
                                          seeds)[0];
@@ -350,9 +350,9 @@ inline MeasuredRate measure_worst_rate_over_inputs(
 /// Rounds until the observed correct-party spread first drops to <= target,
 /// worst case over the given schedulers and seeds.  Returns horizon+1 when a
 /// run never got there.
-inline Round measure_rounds_to_spread(core::RunConfig base, Round horizon,
+inline Round measure_rounds_to_spread(harness::RunConfig base, Round horizon,
                                       double target,
-                                      const std::vector<core::SchedKind>& scheds,
+                                      const std::vector<harness::SchedKind>& scheds,
                                       std::uint32_t seeds) {
   Round worst = 0;
   for (const auto& rep :

@@ -9,11 +9,12 @@
 #include "analysis/worst_case.hpp"
 #include "bench_util.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 int main(int argc, char** argv) {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
 
   bench::JsonSink sink(argc, argv, "f4");
   const SystemParams p{16, 3};

@@ -23,6 +23,7 @@ namespace apxa {
 namespace {
 
 using namespace core;
+using namespace harness;
 using bench::fmt;
 using bench::Table;
 
@@ -103,6 +104,7 @@ void emit(Table& tab, const std::string& proto, SystemParams p,
 int main(int argc, char** argv) {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
   bench::JsonSink sink(argc, argv, "t1");
   std::printf(
       "T1 — Per-round convergence factor K (bigger = faster).\n"

@@ -7,13 +7,13 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace {
 
-apxa::core::RunReport one_round(apxa::core::RunConfig cfg, apxa::Round rounds) {
+apxa::harness::RunReport one_round(apxa::harness::RunConfig cfg, apxa::Round rounds) {
   cfg.fixed_rounds = rounds;
-  return apxa::core::run_async(cfg);
+  return apxa::harness::run(cfg);
 }
 
 }  // namespace
@@ -21,6 +21,7 @@ apxa::core::RunReport one_round(apxa::core::RunConfig cfg, apxa::Round rounds) {
 int main(int argc, char** argv) {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
 
   bench::JsonSink sink(argc, argv, "t3");
   std::printf(

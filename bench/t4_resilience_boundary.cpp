@@ -11,12 +11,13 @@
 #include "analysis/worst_case.hpp"
 #include "bench_util.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace {
 
 using namespace apxa;
 using namespace apxa::core;
+using namespace apxa::harness;
 
 struct Violations {
   int runs = 0;

@@ -12,8 +12,8 @@
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
-#include "core/epsilon_driver.hpp"
 #include "core/multiset_ops.hpp"
+#include "harness/harness.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_net.hpp"
 
@@ -21,6 +21,7 @@ namespace {
 
 using namespace apxa;
 using namespace apxa::core;
+using namespace apxa::harness;
 
 void BM_ApplyAverager(benchmark::State& state) {
   const auto avg = static_cast<Averager>(state.range(0));
@@ -58,7 +59,7 @@ void BM_SimRoundProtocol(benchmark::State& state) {
     cfg.protocol = ProtocolKind::kCrashRound;
     cfg.inputs = linear_inputs(n, 0.0, 1.0);
     cfg.fixed_rounds = 4;
-    const auto rep = run_async(cfg);
+    const auto rep = harness::run(cfg);
     msgs += rep.metrics.messages_sent;
     benchmark::DoNotOptimize(rep.outputs);
   }
@@ -77,7 +78,7 @@ void BM_WitnessIteration(benchmark::State& state) {
     cfg.protocol = ProtocolKind::kWitness;
     cfg.inputs = linear_inputs(n, 0.0, 1.0);
     cfg.fixed_rounds = 1;
-    const auto rep = run_async(cfg);
+    const auto rep = harness::run(cfg);
     msgs += rep.metrics.messages_sent;
     benchmark::DoNotOptimize(rep.outputs);
   }

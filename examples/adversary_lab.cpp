@@ -14,12 +14,13 @@
 #include "analysis/rate_meter.hpp"
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace {
 
 using namespace apxa;
 using namespace apxa::core;
+using namespace apxa::harness;
 
 void show(const char* title, const RunReport& rep) {
   std::printf("%s\n  spread by round:", title);
@@ -54,18 +55,18 @@ int main() {
   {
     auto cfg = base();
     cfg.sched = SchedKind::kFifo;
-    show("[1] FIFO scheduler (lock-step-like):", run_async(cfg));
+    show("[1] FIFO scheduler (lock-step-like):", harness::run(cfg));
   }
   {
     auto cfg = base();
     cfg.sched = SchedKind::kRandom;
     cfg.seed = 7;
-    show("[2] Random asynchrony:", run_async(cfg));
+    show("[2] Random asynchrony:", harness::run(cfg));
   }
   {
     auto cfg = base();
     cfg.sched = SchedKind::kGreedySplit;
-    show("[3] Greedy split-brain scheduler:", run_async(cfg));
+    show("[3] Greedy split-brain scheduler:", harness::run(cfg));
   }
   {
     auto cfg = base();
@@ -76,7 +77,7 @@ int main() {
       cfg.crashes.push_back(adversary::partial_multicast_crash(
           p, static_cast<ProcessId>(p.n - 1 - i), 0, low_camp));
     }
-    show("[4] Greedy + crash-timing (t partial multicasts):", run_async(cfg));
+    show("[4] Greedy + crash-timing (t partial multicasts):", harness::run(cfg));
   }
   {
     // Byzantine protocol under spoiler attack for contrast.
@@ -95,7 +96,7 @@ int main() {
       cfg.byz.push_back(b);
     }
     show("[5] DLPSW byzantine protocol, 3 spoilers + greedy (n = 16):",
-         run_async(cfg));
+         harness::run(cfg));
   }
 
   std::printf(

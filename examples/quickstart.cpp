@@ -9,11 +9,12 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 int main() {
   using namespace apxa;
   using namespace apxa::core;
+  using namespace apxa::harness;
 
   const SystemParams params{7, 2};  // n = 7 parties, up to t = 2 crash faults
   const double eps = 0.01;
@@ -34,7 +35,7 @@ int main() {
       adversary::partial_multicast_crash(params, 5, /*full_rounds=*/0, {6}),
   };
 
-  const RunReport rep = run_async(cfg);
+  const RunReport rep = harness::run(cfg);
 
   std::printf("rounds budgeted : %u\n", cfg.fixed_rounds);
   std::printf("messages sent   : %llu\n",

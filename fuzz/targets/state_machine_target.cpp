@@ -252,7 +252,7 @@ int state_machine_target(const std::uint8_t* data, std::size_t size) {
       }
 
       const harness::RunReport rep =
-          injector ? run_with_injector(cfg, in) : harness::run_async(cfg);
+          injector ? run_with_injector(cfg, in) : harness::run(cfg);
       judge("scalar", oracle::check_run(cfg, rep));
     } else {
       // --- vector protocols -------------------------------------------------

@@ -21,10 +21,10 @@ void note_view_freeze(obs::TraceSink* trace, ProcessId owner, Round r,
 
 // --- quorum collect ---------------------------------------------------------
 //
-// Exactly the collect rule ConvexVectorProcess (and VectorAaProcess) used
-// inline before this layer existed: direct multicast of encode_vec_round,
-// one entry per sender, freeze at n - t entries with own always included.
-// Arrival order is preserved in the frozen view (own entry first).
+// The collect rule of the 1987 round protocols: direct multicast of
+// encode_vec_round, one entry per sender, freeze at n - t entries with own
+// always included.  The frozen view keeps arrival order (entries buffered
+// before the owner entered the round precede its own).
 class QuorumCollector final : public Collector {
  public:
   QuorumCollector(SystemParams params, std::uint32_t dim, Round max_rounds,
@@ -56,7 +56,7 @@ class QuorumCollector final : public Collector {
 
  private:
   struct Slot {
-    std::vector<CollectEntry> entries;  // arrival order, own first
+    std::vector<CollectEntry> entries;  // arrival order
     bool own_added = false;
     bool frozen = false;
     bool fired = false;
@@ -142,7 +142,7 @@ class QuorumCollector final : public Collector {
 // Gating the report on OWN delivery is a deliberate strengthening over bare
 // AAD'04: it guarantees the frozen view contains the owner's entry, which
 // keeps the certified-honest core of the safe-area fallback non-empty
-// (core/convex_aa.hpp) — and costs nothing, since a correct party's own RB
+// (core/multidim.hpp) — and costs nothing, since a correct party's own RB
 // instance always delivers (validity).
 class EqualizedCollector final : public Collector {
  public:

@@ -49,8 +49,9 @@
 // once per round when that round's view freezes.  The ViewFn may re-enter
 // begin_round() for the next round (and usually does).
 //
-// core::ConvexVectorProcess runs on either engine (ProtocolKind::
-// kVectorConvex vs kVectorConvexRB); the entries are R^d points, scalar
+// core::VectorAaProcess (core/multidim.hpp) runs every vector protocol kind
+// on one of these engines: kQuorum for kVectorCrash/kVectorByz/kVectorConvex,
+// kEqualized for kVectorConvexRB.  The entries are R^d points; scalar
 // protocols can use dim-1 vectors.
 #pragma once
 

@@ -1,11 +1,9 @@
 #include "core/multidim.hpp"
 
-#include <algorithm>
-
 #include "common/ensure.hpp"
 #include "core/codec.hpp"  // detail::total_decode
 #include "geom/geom.hpp"
-#include "harness/harness.hpp"
+#include "geom/safe_area.hpp"
 
 namespace apxa::core {
 
@@ -48,43 +46,22 @@ std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
 }
 
 VectorAaProcess::VectorAaProcess(VectorAaConfig cfg) : cfg_(std::move(cfg)) {
-  APXA_ENSURE(cfg_.params.n > 2 * cfg_.params.t && cfg_.params.t >= 1,
-              "vector AA requires n > 2t, t >= 1");
-  APXA_ENSURE(cfg_.dim >= 1, "dimension must be positive");
-  APXA_ENSURE(cfg_.input.size() == cfg_.dim, "input must have `dim` coordinates");
+  const SystemParams p = cfg_.params;
+  if (cfg_.averager) {
+    APXA_ENSURE(p.n > 2 * p.t && p.t >= 1, "vector AA requires n > 2t, t >= 1");
+  } else {
+    APXA_ENSURE(p.n > 3 * p.t && p.t >= 1,
+                "safe-area vector AA requires n > 3t, t >= 1");
+  }
+  APXA_ENSURE(!cfg_.input.empty(), "dimension must be positive");
   value_ = cfg_.input;
-}
-
-VectorAaProcess::Slot& VectorAaProcess::slot(Round r) { return slots_[r]; }
-
-void VectorAaProcess::maybe_freeze(Slot& s) const {
-  if (!s.frozen && s.own_added && s.values.size() >= cfg_.params.quorum()) {
-    s.frozen = true;
-  }
-}
-
-void VectorAaProcess::add_own(Round r, const std::vector<double>& v) {
-  Slot& s = slot(r);
-  APXA_ASSERT(!s.own_added, "own vector added twice");
-  s.own_added = true;
-  s.values.push_back(v);
-  s.contributors.push_back(kNoProcess);
-  maybe_freeze(s);
-}
-
-void VectorAaProcess::add_remote(ProcessId from, Round r, std::vector<double> v) {
-  Slot& s = slot(r);
-  if (s.frozen || v.size() != cfg_.dim) return;
-  if (std::find(s.contributors.begin(), s.contributors.end(), from) !=
-      s.contributors.end()) {
-    return;
-  }
-  const std::size_t cap =
-      s.own_added ? cfg_.params.quorum() : cfg_.params.quorum() - 1;
-  if (s.values.size() >= cap) return;
-  s.values.push_back(std::move(v));
-  s.contributors.push_back(from);
-  maybe_freeze(s);
+  collector_ = make_collector(
+      cfg_.collect, p, static_cast<std::uint32_t>(cfg_.input.size()),
+      cfg_.fixed_rounds,
+      [this](net::Context& ctx, Round r, const std::vector<CollectEntry>& view) {
+        on_view(ctx, r, view);
+      },
+      cfg_.trace_sink);
 }
 
 void VectorAaProcess::on_start(net::Context& ctx) {
@@ -95,66 +72,59 @@ void VectorAaProcess::on_start(net::Context& ctx) {
     return;
   }
   begin_round(ctx);
-  try_advance(ctx);
 }
 
 void VectorAaProcess::begin_round(net::Context& ctx) {
   if (cfg_.trace) cfg_.trace(self_, round_, value_);
-  add_own(round_, value_);
-  ctx.multicast(encode_vec_round(round_, value_));
+  collector_->begin_round(ctx, round_, value_);
 }
 
 void VectorAaProcess::on_message(net::Context& ctx, ProcessId from,
                                  BytesView payload) {
-  if (done_) return;
-  auto m = decode_vec_round(payload);
-  if (!m) return;
-  add_remote(from, m->first, std::move(m->second));
-  try_advance(ctx);
+  // The equalized engine keeps serving the reliable-broadcast layer after
+  // we output: laggards' RB instances need our echoes/readies for totality.
+  if (done_ && !collector_->serve_when_done()) return;
+  collector_->handle(ctx, from, payload);
 }
 
-void VectorAaProcess::try_advance(net::Context& ctx) {
-  while (!done_ && slots_[round_].frozen) {
-    const Slot& s = slots_[round_];
-    // Coordinate-wise averaging: column c of the view is a 1-D multiset; the
-    // reduce/select based rules launder byzantine values per coordinate.
-    value_ = geom::average_per_coordinate(cfg_.averager, s.values, cfg_.dim,
-                                          cfg_.params.t);
-    ++round_;
-    slots_.erase(slots_.begin(), slots_.lower_bound(round_));
-    if (round_ >= cfg_.fixed_rounds) {
-      if (cfg_.trace) cfg_.trace(self_, round_, value_);
-      done_ = true;
-      return;
-    }
-    begin_round(ctx);
+std::vector<double> VectorAaProcess::average(
+    const std::vector<CollectEntry>& view) const {
+  std::vector<std::vector<double>> points;
+  points.reserve(view.size());
+  for (const CollectEntry& e : view) points.push_back(e.value);
+  const auto dim = static_cast<std::uint32_t>(value_.size());
+  if (cfg_.averager) {
+    // Column c of the view is a 1-D multiset; the reduce/select based rules
+    // launder byzantine values per coordinate.
+    return geom::average_per_coordinate(*cfg_.averager, points, dim,
+                                        cfg_.params.t);
   }
+  // Trust my own entry and any echo of it: a byzantine copy of my honest
+  // value is still my honest value, so keeping it cannot move an average
+  // outside the honest hull.  Both collect engines put the own entry in
+  // every frozen view, so the certified core of geom::trimmed_centroid is
+  // never empty — in particular at zero view slack (n = 3t + 1, views of
+  // 2t + 1), where the rule degrades to the certified-honest average.
+  std::vector<std::uint8_t> trusted(view.size(), 0);
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    trusted[i] = view[i].origin == self_ ||
+                 geom::same_point(view[i].value, value_);
+  }
+  return geom::safe_midpoint(points, cfg_.params.t, {}, trusted).point;
 }
 
-MultiDimReport run_multidim(const MultiDimConfig& cfg) {
-  harness::VectorRunConfig v;
-  v.params = cfg.params;
-  v.protocol = harness::ProtocolKind::kVectorCrash;
-  v.dim = cfg.dim;
-  v.averager = cfg.averager;
-  v.fixed_rounds = cfg.fixed_rounds;
-  v.epsilon = cfg.epsilon;
-  v.inputs = cfg.inputs;
-  v.sched = cfg.sched;
-  v.seed = cfg.seed;
-  v.crashes = cfg.crashes;
-  v.backend = harness::BackendKind::kSim;
-  const harness::VectorRunReport rep = harness::run(v);
-
-  MultiDimReport out;
-  out.all_output = rep.all_output;
-  out.outputs = rep.outputs;
-  out.box_validity_ok = rep.box_validity_ok;
-  out.worst_linf_gap = rep.worst_linf_gap;
-  out.agreement_ok = rep.agreement_ok;
-  out.metrics = rep.metrics;
-  out.finish_time = rep.finish_time;
-  return out;
+void VectorAaProcess::on_view(net::Context& ctx, Round r,
+                              const std::vector<CollectEntry>& view) {
+  APXA_ASSERT(!done_ && r == round_, "view fired for a settled round");
+  if (cfg_.view_trace) cfg_.view_trace(self_, r, view);
+  value_ = average(view);
+  ++round_;
+  if (round_ >= cfg_.fixed_rounds) {
+    if (cfg_.trace) cfg_.trace(self_, round_, value_);
+    done_ = true;
+    return;
+  }
+  begin_round(ctx);
 }
 
 }  // namespace apxa::core

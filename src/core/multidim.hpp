@@ -1,46 +1,61 @@
-// Multidimensional approximate agreement in R^d (coordinate-wise).
+// Multidimensional approximate agreement in R^d: one round process, two
+// averaging rules, two collect engines.
 //
-// The natural vector extension of the 1987 round protocol: each round a
-// party multicasts its current vector, waits for n - t round-tagged vectors,
-// and applies the averaging rule *per coordinate* (geom::average_per_coordinate).
-// One message per round carries all d coordinates, so the message complexity
-// stays Theta(n^2) per round and only the bit complexity scales with d.
+// The 1987 round protocol carries over to R^d unchanged: each round a party
+// publishes its current vector, freezes a view of n - t round-tagged points
+// (at most one per sender), averages, and advances.  One message per round
+// carries all d coordinates, so only the bit complexity scales with d.
+// VectorAaProcess is that loop; how the view is assembled is the collect
+// engine (core/collect.hpp), and what it averages to is the rule:
 //
-// Guarantees (crash faults):
-//   box validity     — every correct output lies in the per-coordinate
-//                      interval hull (bounding box) of the correct inputs;
-//   eps-agreement    — pairwise L-infinity distance of outputs <= eps;
-//   convergence rate — each coordinate is exactly a 1-D instance, so the
-//                      per-round factor is the 1-D factor ((n - t)/t for the
-//                      mean rule); all coordinates shrink in lockstep.
+//  - per-coordinate (VectorAaConfig::averager set): column c of the view is
+//    a 1-D multiset and the 1-D Averager runs on every column
+//    (geom::average_per_coordinate).  Crash faults: each coordinate is
+//    exactly a 1-D instance, so outputs stay in the bounding box of the
+//    inputs and every coordinate shrinks by the 1-D factor ((n - t)/t for
+//    the mean rule).  Byzantine (the DLPSW rule, ProtocolKind::kVectorByz):
+//    per-coordinate laundering gives BOX validity only — outputs can leave
+//    the *convex* hull of the honest inputs.  Requires n > 2t.
+//  - safe-area midpoint (averager = nullopt): the Mendes-Herlihy /
+//    Vaidya-Garg construction (geom/safe_area.hpp).  A certified safe-area
+//    point lies in the hull of the honest entries of the view no matter
+//    which <= t are byzantine, which is the inductive step of CONVEX
+//    validity.  The party trusts its own entry and any echo of it
+//    (geom::TrustedMask), so the certified core of the trimmed-centroid
+//    fallback is never empty.  Requires n > 3t.
 //
-// Byzantine caveat (documented, deliberate): coordinate-wise laundering
-// (reduce_t per coordinate) yields BOX validity only — outputs can leave the
-// *convex* hull of the correct inputs, which is why multidimensional
-// byzantine AA with convex validity required new machinery in the follow-on
-// literature (Mendes-Herlihy STOC'13 / Vaidya-Garg PODC'13: safe areas,
-// Tverberg points).  That machinery lives in geom/safe_area.hpp and runs as
-// core::ConvexVectorProcess (ProtocolKind::kVectorConvex); this process
-// keeps the cheap box-valid rule.  The crash model has no such gap: box =
-// product of per-coordinate hulls of genuine values.
+// The collect engine decides how much the honest views share:
+//  - CollectMode::kQuorum (kVectorCrash, kVectorByz, kVectorConvex): direct
+//    multicast of encode_vec_round, first n - t arrivals freeze.
+//    Theta(n^2) messages per round, but a byzantine party may show
+//    different values to different honest parties, so for the safe-area
+//    rule the textbook round bounds do NOT apply — contraction is scheduler-
+//    and adversary-dependent.
+//  - CollectMode::kEqualized (kVectorConvexRB): Bracha reliable broadcast
+//    plus witness-gated freezing, so any two honest round-r views overlap
+//    in >= n - t common entries and equivocation is structurally
+//    neutralized.  Theta(n^3) messages per round.
 //
-// VectorAaProcess runs on any exec::Backend through the harness layer: build
-// a harness::VectorRunConfig (protocol kVectorCrash or kVectorByz) and call
-// harness::run — the simulator and the threaded runtime both execute it, with
-// crash/byzantine fault injection and every scheduler.  run_multidim below is
-// the historical simulator-only entry point, now a facade over that path.
+// Scope of the convex guarantee: the safe area of an m-point view is
+// guaranteed nonempty only when m >= (d+2)t + 1; past that (large d, small
+// n) the rule degrades to the outlier-trimmed centroid fallback, and the
+// harness measures the resulting convex validity instead of assuming it
+// (VectorRunReport::convex_validity_ok, bench/f6_multidim).
+//
+// The process runs on any exec::Backend through the harness layer: build a
+// harness::VectorRunConfig and call harness::run.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "adversary/crash_plan.hpp"
 #include "common/ids.hpp"
-#include "core/async_crash.hpp"
-#include "core/epsilon_driver.hpp"
+#include "core/collect.hpp"
+#include "core/multiset_ops.hpp"
 #include "net/process.hpp"
 
 namespace apxa::core {
@@ -52,21 +67,37 @@ namespace apxa::core {
 using VecTraceFn =
     std::function<void(ProcessId, Round, const std::vector<double>&)>;
 
+/// Observation hook for frozen views: (party, round, frozen view entries).
+/// The entry reference is valid only for the duration of the call.  Same
+/// thread-safety contract as VecTraceFn.  This is how the harness measures
+/// view overlap between honest parties (VectorRunReport::view_overlap_min).
+using ViewTraceFn =
+    std::function<void(ProcessId, Round, const std::vector<CollectEntry>&)>;
+
 struct VectorAaConfig {
   SystemParams params;
-  std::uint32_t dim = 1;
-  std::vector<double> input;  ///< size dim
-  Averager averager = Averager::kMean;
+  std::vector<double> input;  ///< the dimension d is input.size()
+  /// The averaging rule: a 1-D Averager applied per coordinate, or nullopt
+  /// for the safe-area midpoint.
+  std::optional<Averager> averager = Averager::kMean;
   Round fixed_rounds = 1;
-  VecTraceFn trace;           ///< optional observation hook
+  CollectMode collect = CollectMode::kQuorum;
+  VecTraceFn trace;        ///< optional round-entry hook
+  ViewTraceFn view_trace;  ///< optional frozen-view hook
+  /// Optional obs sink handed to the collect engine: records a kViewFreeze
+  /// event per frozen round view.  Must outlive the process.
+  obs::TraceSink* trace_sink = nullptr;
 };
 
-/// Round-based coordinate-wise AA process for R^d (fixed-round termination).
-/// Decides through the vector side of the process interface: output() stays
-/// empty, vector_output()/has_output() carry the decision on every backend.
+/// Round-based AA process for R^d (fixed-round termination).  Decides
+/// through the vector side of the process interface: output() stays empty,
+/// vector_output()/has_output() carry the decision on every backend.
 class VectorAaProcess final : public net::Process {
  public:
   explicit VectorAaProcess(VectorAaConfig cfg);
+  // The collect engine's view callback holds `this`.
+  VectorAaProcess(const VectorAaProcess&) = delete;
+  VectorAaProcess& operator=(const VectorAaProcess&) = delete;
 
   void on_start(net::Context& ctx) override;
   void on_message(net::Context& ctx, ProcessId from, BytesView payload) override;
@@ -78,61 +109,22 @@ class VectorAaProcess final : public net::Process {
   [[nodiscard]] Round current_round() const { return round_; }
 
  private:
-  struct Slot {
-    std::vector<std::vector<double>> values;  // arrival order
-    std::vector<ProcessId> contributors;
-    bool own_added = false;
-    bool frozen = false;
-  };
-
   void begin_round(net::Context& ctx);
-  void try_advance(net::Context& ctx);
-  Slot& slot(Round r);
-  void maybe_freeze(Slot& s) const;
-  void add_own(Round r, const std::vector<double>& v);
-  void add_remote(ProcessId from, Round r, std::vector<double> v);
+  void on_view(net::Context& ctx, Round r, const std::vector<CollectEntry>& view);
+  [[nodiscard]] std::vector<double> average(
+      const std::vector<CollectEntry>& view) const;
 
   VectorAaConfig cfg_;
-  std::map<Round, Slot> slots_;
+  std::unique_ptr<Collector> collector_;
   std::vector<double> value_;
   Round round_ = 0;
   bool done_ = false;
   ProcessId self_ = kNoProcess;
 };
 
-/// Wire format for vector rounds (tag 7): [round][dim][f64 x dim][budget=0].
+/// Wire format for vector rounds (tag 7): [round][dim][f64 x dim].
 Bytes encode_vec_round(Round r, const std::vector<double>& v);
 std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
     BytesView payload);
-
-// --- historical experiment driver -------------------------------------------
-//
-// Simulator-only crash-model driver predating the harness vector layer; kept
-// as a thin facade over harness::run(VectorRunConfig) so existing tests and
-// examples compile unchanged.  New code should build a VectorRunConfig.
-
-struct MultiDimConfig {
-  SystemParams params;
-  std::uint32_t dim = 2;
-  Averager averager = Averager::kMean;
-  Round fixed_rounds = 1;
-  double epsilon = 1e-3;
-  std::vector<std::vector<double>> inputs;  ///< n rows of dim columns
-  SchedKind sched = SchedKind::kRandom;
-  std::uint64_t seed = 1;
-  std::vector<adversary::CrashSpec> crashes;
-};
-
-struct MultiDimReport {
-  bool all_output = false;
-  std::vector<std::vector<double>> outputs;  ///< correct parties' vectors
-  bool box_validity_ok = false;
-  double worst_linf_gap = 0.0;
-  bool agreement_ok = false;
-  net::Metrics metrics;
-  double finish_time = 0.0;
-};
-
-MultiDimReport run_multidim(const MultiDimConfig& cfg);
 
 }  // namespace apxa::core

@@ -23,8 +23,9 @@
 // coordinate-wise laundering yields BOX validity only — outputs can leave
 // the *convex* hull of the correct inputs.  Convex validity in R^d requires
 // the Mendes-Herlihy / Vaidya-Garg safe-area machinery (STOC'13 / PODC'13),
-// implemented on top of these primitives in geom/safe_area.hpp and exposed
-// as ProtocolKind::kVectorConvex (core/convex_aa.hpp).
+// implemented on top of these primitives in geom/safe_area.hpp and run by
+// core::VectorAaProcess's safe-area rule (ProtocolKind::kVectorConvex,
+// core/multidim.hpp).
 #pragma once
 
 #include <cstdint>

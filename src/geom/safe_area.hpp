@@ -36,8 +36,8 @@
 //                         FINDING it is expensive in general, so this probes
 //                         a small deterministic family of partitions and may
 //                         return nullopt even when a Tverberg point exists;
-//   safe_midpoint       — the averaging rule of the convex-valid protocol
-//                         (core::ConvexVectorProcess): average the certified
+//   safe_midpoint       — the safe-area rule of core::VectorAaProcess
+//                         (the convex-valid kinds): average the certified
 //                         points — (t+1)-supported honest echoes of the view
 //                         (support_counts) and the verified safe-area points
 //                         among a deterministic candidate set (Tverberg
@@ -162,8 +162,8 @@ std::vector<double> coordinate_median(std::span<const std::vector<double>> point
 /// degenerate views (m <= d + 1: a simplex with no interior, where
 /// geometry cannot separate a forged vertex from an honest one) degrade
 /// to the certified-honest average — valid, if contraction-free — when a
-/// certificate exists (core::ConvexVectorProcess always trusts its own
-/// entry, so through the protocol the core is never empty; with no
+/// certificate exists (core::VectorAaProcess always trusts its own entry,
+/// so through the protocol the core is never empty; with no
 /// certificate at all the geometric drop below is the only signal left and
 /// a degenerate view CAN retain a forged vertex).  Far-
 /// outside and corner-steering attackers top the two geometric scores, so

@@ -6,7 +6,7 @@
 #include "common/ensure.hpp"
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
-#include "core/convex_aa.hpp"
+#include "core/multidim.hpp"
 #include "net/envelope.hpp"
 #include "sched/clique_scheduler.hpp"
 #include "sched/crash_timing_scheduler.hpp"
@@ -17,31 +17,46 @@
 
 namespace apxa::harness {
 
+namespace {
+
+// The fault-plan half of validate and byzantine_ids, shared by the scalar
+// and vector config overloads.
+std::set<ProcessId> byz_ids(const std::vector<adversary::ByzSpec>& byz) {
+  std::set<ProcessId> ids;
+  for (const auto& b : byz) ids.insert(b.who);
+  return ids;
+}
+
+void validate_faults(SystemParams params,
+                     const std::vector<adversary::CrashSpec>& crashes,
+                     const std::vector<adversary::ByzSpec>& byz,
+                     bool allow_excess_faults) {
+  APXA_ENSURE(allow_excess_faults || crashes.size() + byz.size() <= params.t,
+              "cannot exceed the fault budget t");
+  std::set<ProcessId> ids;
+  for (const auto& b : byz) {
+    APXA_ENSURE(b.who < params.n, "byzantine id out of range");
+    APXA_ENSURE(ids.insert(b.who).second, "duplicate byzantine id");
+  }
+  for (const auto& c : crashes) {
+    APXA_ENSURE(!ids.contains(c.who), "party cannot be both byz and crashed");
+  }
+}
+
+}  // namespace
+
 void validate(const RunConfig& cfg) {
-  const auto n = cfg.params.n;
   APXA_ENSURE(cfg.protocol != ProtocolKind::kVectorCrash &&
                   cfg.protocol != ProtocolKind::kVectorByz &&
                   cfg.protocol != ProtocolKind::kVectorConvex &&
                   cfg.protocol != ProtocolKind::kVectorConvexRB,
               "vector protocols take a VectorRunConfig");
-  APXA_ENSURE(cfg.inputs.size() == n, "inputs must have size n");
-  APXA_ENSURE(cfg.allow_excess_faults ||
-                  cfg.crashes.size() + cfg.byz.size() <= cfg.params.t,
-              "cannot exceed the fault budget t");
-  std::set<ProcessId> byz;
-  for (const auto& b : cfg.byz) {
-    APXA_ENSURE(b.who < n, "byzantine id out of range");
-    APXA_ENSURE(byz.insert(b.who).second, "duplicate byzantine id");
-  }
-  for (const auto& c : cfg.crashes) {
-    APXA_ENSURE(!byz.contains(c.who), "party cannot be both byz and crashed");
-  }
+  APXA_ENSURE(cfg.inputs.size() == cfg.params.n, "inputs must have size n");
+  validate_faults(cfg.params, cfg.crashes, cfg.byz, cfg.allow_excess_faults);
 }
 
 std::set<ProcessId> byzantine_ids(const RunConfig& cfg) {
-  std::set<ProcessId> ids;
-  for (const auto& b : cfg.byz) ids.insert(b.who);
-  return ids;
+  return byz_ids(cfg.byz);
 }
 
 namespace {
@@ -162,7 +177,6 @@ void stage(const RunConfig& cfg, const core::TraceFn& trace,
 }
 
 void validate(const VectorRunConfig& cfg) {
-  const auto n = cfg.params.n;
   APXA_ENSURE(cfg.protocol == ProtocolKind::kVectorCrash ||
                   cfg.protocol == ProtocolKind::kVectorByz ||
                   cfg.protocol == ProtocolKind::kVectorConvex ||
@@ -173,26 +187,16 @@ void validate(const VectorRunConfig& cfg) {
                   (cfg.params.n > 3 * cfg.params.t && cfg.params.t >= 1),
               "convex vector protocols require n > 3t, t >= 1");
   APXA_ENSURE(cfg.dim >= 1, "dimension must be positive");
-  APXA_ENSURE(cfg.inputs.size() == n, "inputs must have n rows");
+  APXA_ENSURE(cfg.inputs.size() == cfg.params.n, "inputs must have n rows");
   for (const auto& row : cfg.inputs) {
     APXA_ENSURE(row.size() == cfg.dim, "every input needs `dim` coordinates");
   }
-  APXA_ENSURE(cfg.crashes.size() + cfg.byz.size() <= cfg.params.t,
-              "cannot exceed the fault budget t");
-  std::set<ProcessId> byz;
-  for (const auto& b : cfg.byz) {
-    APXA_ENSURE(b.who < n, "byzantine id out of range");
-    APXA_ENSURE(byz.insert(b.who).second, "duplicate byzantine id");
-  }
-  for (const auto& c : cfg.crashes) {
-    APXA_ENSURE(!byz.contains(c.who), "party cannot be both byz and crashed");
-  }
+  validate_faults(cfg.params, cfg.crashes, cfg.byz,
+                  /*allow_excess_faults=*/false);
 }
 
 std::set<ProcessId> byzantine_ids(const VectorRunConfig& cfg) {
-  std::set<ProcessId> ids;
-  for (const auto& b : cfg.byz) ids.insert(b.who);
-  return ids;
+  return byz_ids(cfg.byz);
 }
 
 std::unique_ptr<sched::Scheduler> make_scheduler(const VectorRunConfig& cfg) {
@@ -217,9 +221,32 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const VectorRunConfig& cfg) {
 std::vector<std::unique_ptr<net::Process>> build_processes(
     const VectorRunConfig& cfg, const core::VecTraceFn& trace,
     const core::ViewTraceFn& view_trace) {
+  // Every vector kind is (collect engine x averaging rule) on one process
+  // (core/multidim.hpp).  kVectorByz launders per coordinate with the
+  // byzantine-safe DLPSW rule, mirroring the scalar kByzRound path (box
+  // validity only); the convex kinds average through the safe area
+  // (geom/safe_area.hpp, rule = nullopt) and differ in the collect engine
+  // (core/collect.hpp).
+  core::CollectMode collect = core::CollectMode::kQuorum;
+  std::optional<core::Averager> rule;
+  switch (cfg.protocol) {
+    case ProtocolKind::kVectorCrash:
+      rule = cfg.averager;
+      break;
+    case ProtocolKind::kVectorByz:
+      rule = core::Averager::kDlpswAsync;
+      break;
+    case ProtocolKind::kVectorConvex:
+      break;
+    case ProtocolKind::kVectorConvexRB:
+      collect = core::CollectMode::kEqualized;
+      break;
+    default:
+      APXA_ENSURE(false, "VectorRunConfig takes a vector protocol kind");
+  }
+
   const auto n = cfg.params.n;
   const auto byz = byzantine_ids(cfg);
-  const bool equalized = cfg.protocol == ProtocolKind::kVectorConvexRB;
   std::vector<std::unique_ptr<net::Process>> procs;
   procs.reserve(n);
   for (ProcessId p = 0; p < n; ++p) {
@@ -231,40 +258,20 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
       // other vector protocol it speaks direct vector rounds.
       procs.push_back(std::make_unique<adversary::ByzVectorProcess>(
           *it, cfg.dim,
-          equalized ? adversary::VectorWire::kRbVec
-                    : adversary::VectorWire::kDirect));
-      continue;
-    }
-    if (cfg.protocol == ProtocolKind::kVectorConvex ||
-        cfg.protocol == ProtocolKind::kVectorConvexRB) {
-      // Safe-area averaging (geom/safe_area.hpp): convex validity instead of
-      // the box-only guarantee of per-coordinate laundering.  The collect
-      // engine is the difference between the two kinds (core/collect.hpp).
-      core::ConvexAaConfig cc;
-      cc.params = cfg.params;
-      cc.dim = cfg.dim;
-      cc.input = cfg.inputs[p];
-      cc.fixed_rounds = cfg.fixed_rounds;
-      cc.collect = equalized ? core::CollectMode::kEqualized
-                             : core::CollectMode::kQuorum;
-      cc.trace = trace;
-      cc.view_trace = view_trace;
-      cc.trace_sink = cfg.trace;
-      procs.push_back(std::make_unique<core::ConvexVectorProcess>(cc));
+          collect == core::CollectMode::kEqualized
+              ? adversary::VectorWire::kRbVec
+              : adversary::VectorWire::kDirect));
       continue;
     }
     core::VectorAaConfig pc;
     pc.params = cfg.params;
-    pc.dim = cfg.dim;
     pc.input = cfg.inputs[p];
-    // kVectorByz launders per coordinate with the byzantine-safe DLPSW rule,
-    // mirroring the scalar kByzRound path (box validity only — see the
-    // module caveats in core/multidim.hpp).
-    pc.averager = cfg.protocol == ProtocolKind::kVectorByz
-                      ? core::Averager::kDlpswAsync
-                      : cfg.averager;
+    pc.averager = rule;
     pc.fixed_rounds = cfg.fixed_rounds;
+    pc.collect = collect;
     pc.trace = trace;
+    pc.view_trace = view_trace;
+    pc.trace_sink = cfg.trace;
     procs.push_back(std::make_unique<core::VectorAaProcess>(pc));
   }
   return procs;

@@ -11,7 +11,6 @@
 #include <set>
 #include <vector>
 
-#include "core/convex_aa.hpp"
 #include "core/multidim.hpp"
 #include "exec/backend.hpp"
 #include "harness/scenario.hpp"
@@ -52,10 +51,9 @@ exec::DonePredicate make_done_predicate(const RunConfig& cfg);
 void validate(const VectorRunConfig& cfg);
 std::set<ProcessId> byzantine_ids(const VectorRunConfig& cfg);
 std::unique_ptr<sched::Scheduler> make_scheduler(const VectorRunConfig& cfg);
-/// `view_trace` additionally observes honest convex parties' frozen views
-/// (core::ViewTraceFn; ignored by the non-convex vector protocols) — the
-/// harness measures view overlap from it.  Same thread-safety contract as
-/// `trace`.
+/// `view_trace` additionally observes honest parties' frozen views
+/// (core::ViewTraceFn) — the harness measures view overlap from it.  Same
+/// thread-safety contract as `trace`.
 std::vector<std::unique_ptr<net::Process>> build_processes(
     const VectorRunConfig& cfg, const core::VecTraceFn& trace,
     const core::ViewTraceFn& view_trace = {});

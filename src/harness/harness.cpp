@@ -34,9 +34,10 @@ void maybe_dump_flight(const obs::TraceSink* sink, const std::string& path,
                           obs::kDefaultFlightEventsPerParty, transport_state);
 }
 
-}  // namespace
-
-std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
+// Shared by the scalar and vector config overloads: only the scheduler's
+// value probe differs, and make_scheduler picks it by the config type.
+template <class Config>
+std::unique_ptr<exec::Backend> make_backend_impl(const Config& cfg) {
   switch (cfg.backend) {
     case BackendKind::kSim:
       return std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
@@ -49,6 +50,12 @@ std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
     }
   }
   APXA_ASSERT(false, "unknown backend kind");
+}
+
+}  // namespace
+
+std::unique_ptr<exec::Backend> make_backend(const RunConfig& cfg) {
+  return make_backend_impl(cfg);
 }
 
 RunReport execute(const RunConfig& cfg, exec::Backend& backend) {
@@ -140,18 +147,7 @@ RunReport run(const RunConfig& cfg) {
 }
 
 std::unique_ptr<exec::Backend> make_backend(const VectorRunConfig& cfg) {
-  switch (cfg.backend) {
-    case BackendKind::kSim:
-      return std::make_unique<exec::SimBackend>(cfg.params, make_scheduler(cfg));
-    case BackendKind::kThread:
-      return std::make_unique<exec::ThreadBackend>(cfg.params);
-    case BackendKind::kSocket: {
-      auto b = std::make_unique<exec::SocketBackend>(cfg.params);
-      b->set_fault_config(cfg.socket_faults);
-      return b;
-    }
-  }
-  APXA_ASSERT(false, "unknown backend kind");
+  return make_backend_impl(cfg);
 }
 
 VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
@@ -174,8 +170,8 @@ VectorRunReport execute(const VectorRunConfig& cfg, exec::Backend& backend) {
     trace[r][p] = v;
   };
 
-  // Frozen-view trace (convex protocols only): what each honest party's
-  // round-r view actually contained, for the view-overlap verdict.
+  // Frozen-view trace: what each honest party's round-r view actually
+  // contained, for the view-overlap verdict.
   ViewTrace views;
   std::mutex views_mu;
   core::ViewTraceFn view_fn =
@@ -256,10 +252,9 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
     }
   }
 
-  // View overlap between correct parties' frozen views (convex protocols
-  // emit the trace; empty otherwise).  Entries match when origin and value
-  // agree bitwise — under the equalized collect two matching entries really
-  // are the same RB delivery.
+  // View overlap between correct parties' frozen views.  Entries match when
+  // origin and value agree bitwise — under the equalized collect two
+  // matching entries really are the same RB delivery.
   rep.view_overlap_min = n;
   for (const auto& [round, by_party] : views) {
     std::vector<const std::vector<core::CollectEntry>*> correct_views;
@@ -311,18 +306,6 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
 VectorRunReport run(const VectorRunConfig& cfg) {
   const auto backend = make_backend(cfg);
   return execute(cfg, *backend);
-}
-
-RunReport run_async(const RunConfig& cfg) {
-  RunConfig c = cfg;
-  c.backend = BackendKind::kSim;
-  return run(c);
-}
-
-RunReport run_threaded(const RunConfig& cfg) {
-  RunConfig c = cfg;
-  c.backend = BackendKind::kThread;
-  return run(c);
 }
 
 }  // namespace apxa::harness

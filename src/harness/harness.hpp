@@ -9,9 +9,6 @@
 //
 // Entry points:
 //   run(cfg)            — dispatch on cfg.backend;
-//   run_async(cfg)      — force the simulator (the historical name: this is
-//                         what core::run_async has always done);
-//   run_threaded(cfg)   — force the threaded runtime;
 //   execute(cfg, be)    — stage and run on a caller-constructed backend.
 #pragma once
 
@@ -42,12 +39,6 @@ RunReport execute(const RunConfig& cfg, exec::Backend& backend);
 
 /// Run one complete execution on the backend selected by cfg.backend.
 RunReport run(const RunConfig& cfg);
-
-/// Run on the deterministic simulator regardless of cfg.backend.
-RunReport run_async(const RunConfig& cfg);
-
-/// Run on the threaded runtime regardless of cfg.backend.
-RunReport run_threaded(const RunConfig& cfg);
 
 // --- vector scenarios -------------------------------------------------------
 // The same entry points for vector-valued (R^d) runs: box-validity,

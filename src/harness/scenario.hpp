@@ -125,8 +125,9 @@ struct RunReport {
 // every vector run) and L-infinity eps-agreement.  kVectorByz launders per
 // coordinate (reduce-based rule), so its validity guarantee is the box, NOT
 // the convex hull, of the honest inputs; kVectorConvex averages through the
-// Mendes-Herlihy/Vaidya-Garg safe area (core/convex_aa.hpp) and targets
-// convex validity.  See the caveats in core/multidim.hpp and geom/geom.hpp.
+// Mendes-Herlihy/Vaidya-Garg safe area and targets convex validity.  All
+// four kinds run core::VectorAaProcess; see the caveats in core/multidim.hpp
+// and geom/geom.hpp.
 
 struct VectorRunConfig {
   SystemParams params;
@@ -187,15 +188,17 @@ struct VectorRunReport {
   Round rounds_to_eps = 0;
   bool reached_eps = false;
 
-  // --- view-overlap verdict (convex protocols only) -------------------------
+  // --- view-overlap verdict -------------------------------------------------
   //
   // The property view equalization buys: any two honest parties' frozen
   // round-r views must share >= n - t common (origin, value) entries drawn
   // from a common pool.  kVectorConvexRB guarantees it structurally (RB +
   // witness reports); plain quorum collect does NOT — an equivocator showing
   // different values to different parties drives the overlap below n - t.
-  // Measured from the frozen-view trace (core::ViewTraceFn); entries match
-  // when origin AND bitwise value agree.
+  // Measured from the frozen-view trace (core::ViewTraceFn) on every vector
+  // kind: kVectorCrash and kVectorByz run the same quorum collect, so their
+  // traced runs also record obs kViewFreeze events and fill these fields.
+  // Entries match when origin AND bitwise value agree.
   /// True when at least one round had two correct frozen views to compare.
   bool view_overlap_measured = false;
   /// Min over rounds and correct-party pairs of the common-entry count.

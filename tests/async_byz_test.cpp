@@ -4,10 +4,12 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 
 namespace apxa::core {
 namespace {
+
+using namespace harness;
 
 using adversary::ByzKind;
 using adversary::ByzSpec;
@@ -36,7 +38,7 @@ TEST(ByzAa, FaultFreeConvergence) {
   cfg.inputs = linear_inputs(6, 0.0, 1.0);
   cfg.fixed_rounds = rounds_for_bound(1.0, cfg.epsilon, Averager::kDlpswAsync,
                                       cfg.params);
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -46,7 +48,7 @@ TEST(ByzAa, ResilienceGuardAtBoundary) {
   auto cfg = byz_config(5, 1);  // n = 5t: rejected (needs n > 5t)
   cfg.inputs = linear_inputs(5, 0.0, 1.0);
   cfg.fixed_rounds = 2;
-  EXPECT_THROW(run_async(cfg), std::invalid_argument);
+  EXPECT_THROW(harness::run(cfg), std::invalid_argument);
 }
 
 class ByzStrategySweep : public ::testing::TestWithParam<ByzKind> {};
@@ -58,7 +60,7 @@ TEST_P(ByzStrategySweep, SafetyUnderAttack) {
   cfg.fixed_rounds = rounds_for_bound(1.0, cfg.epsilon, Averager::kDlpswAsync,
                                       cfg.params);
   cfg.byz = {make_byz(5, kind)};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output) << "liveness lost";
   EXPECT_TRUE(rep.validity_ok) << "hull violated under attack";
   EXPECT_TRUE(rep.agreement_ok) << "gap " << rep.worst_pair_gap;
@@ -77,7 +79,7 @@ TEST(ByzAa, MaxFaultsLargerSystem) {
   cfg.fixed_rounds = rounds_for_bound(1.0, cfg.epsilon, Averager::kDlpswAsync,
                                       cfg.params);
   cfg.byz = {make_byz(0, ByzKind::kSpoiler), make_byz(10, ByzKind::kEquivocate)};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -91,7 +93,7 @@ TEST(ByzAa, MixedCrashAndByzantine) {
                                       cfg.params);
   cfg.byz = {make_byz(3, ByzKind::kSpoiler)};
   cfg.crashes = {adversary::partial_multicast_crash(cfg.params, 7, 1, {0, 1, 2})};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -104,7 +106,7 @@ TEST(ByzAa, AdversarialSchedulerPlusByzantine) {
                                       cfg.params);
   cfg.sched = SchedKind::kGreedySplit;
   cfg.byz = {make_byz(2, ByzKind::kSpoiler)};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -121,7 +123,7 @@ TEST(ByzAa, BudgetInflationClampedInAdaptiveMode) {
   byz.hi = 1.0;
   byz.inflate_budget = 1'000'000;
   cfg.byz = {byz};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   // Budgets were capped: the run finished in a bounded number of rounds.
@@ -136,7 +138,7 @@ TEST(ByzAa, SpreadNeverExpands) {
   cfg.inputs = split_inputs(11, 5, 0.0, 1.0);
   cfg.fixed_rounds = 6;
   cfg.byz = {make_byz(0, ByzKind::kSpoiler), make_byz(10, ByzKind::kSpoiler)};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   for (double f : rep.round_factors) EXPECT_GE(f, 1.0 - 1e-9);
   ASSERT_GE(rep.spread_by_round.size(), 2u);
   EXPECT_LT(rep.spread_by_round.back(), rep.spread_by_round.front());

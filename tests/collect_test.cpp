@@ -23,6 +23,8 @@
 
 #include "adversary/byzantine.hpp"
 #include "adversary/crash_plan.hpp"
+#include "core/codec.hpp"
+#include "core/multidim.hpp"
 #include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "harness/run_many.hpp"
@@ -280,15 +282,23 @@ TEST(CollectSim, PhaseCountersAttributeTheEqualizationCost) {
   EXPECT_EQ(by_round, r.metrics.messages_sent);
 }
 
-TEST(CollectSim, ByzantineWireGarbageIsDiscardedNotFatal) {
-  // A byzantine peer floods RB SENDs under instances far beyond the round
-  // budget (each would otherwise cost every honest party a permanent hub
-  // slot and a Theta(n^2) echo wave), reports for absurd iterations, and RB
-  // messages claiming an out-of-range origin (which once hit an ENSURE and
-  // would have crashed every honest party).  All of it must be silently
-  // discarded: the run stays live, valid and equalized.
+// A byzantine peer floods every wire an honest vector party decodes with
+// traffic no honest party ever sends: RB SENDs under instances far beyond
+// the round budget (each would otherwise cost every honest party a
+// permanent hub slot and a Theta(n^2) echo wave), reports for absurd
+// iterations, RB messages claiming an out-of-range origin (which once hit an
+// ENSURE and would have crashed every honest party), and — for the
+// direct-wire kinds — vector rounds past the round budget or of the wrong
+// dimension (which once grew a per-round map without bound).  All of it
+// must be silently discarded: the run stays live and valid, and no forged
+// content reaches a frozen view.  Parametrized over the kinds that share
+// the quorum path (kVectorByz, kVectorConvex) and the equalized one.
+class CollectWireGarbage : public ::testing::TestWithParam<ProtocolKind> {};
+
+TEST_P(CollectWireGarbage, ByzantineWireGarbageIsDiscardedNotFatal) {
   class WireGarbageAttacker final : public net::Process {
    public:
+    explicit WireGarbageAttacker(Round rounds) : rounds_(rounds) {}
     void on_start(net::Context& ctx) override {
       const auto n = ctx.params().n;
       for (ProcessId to = 0; to < n; ++to) {
@@ -297,7 +307,9 @@ TEST(CollectSim, ByzantineWireGarbageIsDiscardedNotFatal) {
           ctx.send(to, core::encode_rb_vec(core::RbVecMsg{
                            core::MsgType::kRbVecSend, 1'000'000 + k,
                            ctx.self(), {1.0, 2.0}}));
+          ctx.send(to, core::encode_vec_round(rounds_ + k, {1.0, 2.0}));
         }
+        ctx.send(to, core::encode_vec_round(0, {1.0, 2.0, 3.0}));
         ctx.send(to, core::encode_rb_vec(core::RbVecMsg{
                          core::MsgType::kRbVecSend, 0, /*origin=*/n + 7,
                          {0.0, 0.0}}));
@@ -307,46 +319,66 @@ TEST(CollectSim, ByzantineWireGarbageIsDiscardedNotFatal) {
       }
     }
     void on_message(net::Context&, ProcessId, BytesView) override {}
+
+   private:
+    Round rounds_;
   };
 
   SystemParams p{7, 1};
   auto cfg = rb_base(p, 2, 6, 91);
-  cfg.byz = {};  // the garbage attacker takes the byzantine slot by hand
+  cfg.protocol = GetParam();
+  adversary::ByzSpec spec;
+  spec.who = 0;
+  cfg.byz = {spec};  // the garbage attacker replaces this slot's process
 
   const auto backend = make_backend(cfg);
-  std::map<Round, std::map<ProcessId, std::vector<core::CollectEntry>>> views;
+  ViewTrace views;
   std::mutex mu;
   core::ViewTraceFn view_fn =
       [&](ProcessId party, Round r, const std::vector<core::CollectEntry>& v) {
         std::scoped_lock lock(mu);
         views[r][party] = v;
       };
-  for (ProcessId id = 0; id < p.n; ++id) {
-    if (id == 0) {
-      backend->add_process(std::make_unique<WireGarbageAttacker>());
-      continue;
-    }
-    core::ConvexAaConfig cc;
-    cc.params = p;
-    cc.dim = 2;
-    cc.input = cfg.inputs[id];
-    cc.fixed_rounds = cfg.fixed_rounds;
-    cc.collect = core::CollectMode::kEqualized;
-    cc.view_trace = view_fn;
-    backend->add_process(std::make_unique<core::ConvexVectorProcess>(cc));
-  }
-  backend->mark_byzantine(0);
+  auto procs = build_processes(cfg, {}, view_fn);
+  procs[0] = std::make_unique<WireGarbageAttacker>(cfg.fixed_rounds);
+  for (auto& proc : procs) backend->add_process(std::move(proc));
+  for (ProcessId b : byzantine_ids(cfg)) backend->mark_byzantine(b);
   const auto res = backend->run({});
   EXPECT_TRUE(res.all_correct_output);
   ASSERT_EQ(res.vector_outputs.size(), p.n - 1);
-  // No forged instance/origin content may reach any frozen view.
+  const auto rep = finalize(cfg, res, {}, views);
+  EXPECT_TRUE(rep.box_validity_ok);
+  // Every view is full-size and made only of honest parties' genuine
+  // points: no forged instance, round, origin or dimension got in.
+  ASSERT_EQ(views.size(), cfg.fixed_rounds);
   for (const auto& [round, by_party] : views) {
     EXPECT_LT(round, cfg.fixed_rounds);
+    EXPECT_EQ(by_party.size(), p.n - 1);
     for (const auto& [party, view] : by_party) {
-      for (const auto& e : view) EXPECT_LT(e.origin, p.n);
+      EXPECT_GE(view.size(), p.quorum());
+      for (const auto& e : view) {
+        EXPECT_LT(e.origin, p.n);
+        EXPECT_NE(e.origin, 0u);
+        EXPECT_EQ(e.value.size(), cfg.dim);
+      }
     }
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, CollectWireGarbage,
+    ::testing::Values(ProtocolKind::kVectorByz, ProtocolKind::kVectorConvex,
+                      ProtocolKind::kVectorConvexRB),
+    [](const auto& info) {
+      switch (info.param) {
+        case ProtocolKind::kVectorByz:
+          return "byz";
+        case ProtocolKind::kVectorConvex:
+          return "convex";
+        default:
+          return "convex_rb";
+      }
+    });
 
 TEST(CollectSim, ValidatesResilience) {
   auto cfg = rb_base({6, 2}, 2, 4, 83);

@@ -113,7 +113,7 @@ TEST_P(ScalarSweep, OracleHoldsAcrossSeeds) {
       cfg.fixed_rounds = core::rounds_needed(spread, kEpsilon, 2.0) + 2;
     }
 
-    const harness::RunReport rep = harness::run_async(cfg);
+    const harness::RunReport rep = harness::run(cfg);
     const auto v = oracle::check_run(cfg, rep);
     EXPECT_TRUE(v.ok) << v.summary();
   }

@@ -7,14 +7,19 @@
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
 #include "core/multidim.hpp"
+#include "harness/harness.hpp"
 
 namespace apxa::core {
 namespace {
 
-MultiDimConfig base(std::uint32_t n, std::uint32_t t, std::uint32_t dim,
-                    double eps = 1e-3) {
-  MultiDimConfig cfg;
+using harness::SchedKind;
+using harness::VectorRunConfig;
+
+VectorRunConfig base(std::uint32_t n, std::uint32_t t, std::uint32_t dim,
+                     double eps = 1e-3) {
+  VectorRunConfig cfg;
   cfg.params = {n, t};
+  cfg.protocol = harness::ProtocolKind::kVectorCrash;
   cfg.dim = dim;
   cfg.epsilon = eps;
   return cfg;
@@ -57,7 +62,7 @@ TEST(MultiDim, ConvergesIn2D) {
   auto cfg = base(7, 2, 2, 1e-4);
   cfg.inputs = grid_inputs(7, 2, 3);
   cfg.fixed_rounds = rounds_for_bound(5.0, cfg.epsilon, Averager::kMean, cfg.params);
-  const auto rep = run_multidim(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.box_validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_linf_gap;
@@ -69,7 +74,7 @@ TEST(MultiDim, HighDimension) {
   auto cfg = base(5, 1, 16, 1e-2);
   cfg.inputs = grid_inputs(5, 16, 7);
   cfg.fixed_rounds = rounds_for_bound(5.0, cfg.epsilon, Averager::kMean, cfg.params);
-  const auto rep = run_multidim(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.box_validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_linf_gap;
@@ -81,12 +86,12 @@ TEST(MultiDim, MessageCountIndependentOfDimension) {
   auto cfg1 = base(6, 1, 1);
   cfg1.inputs = grid_inputs(6, 1, 9);
   cfg1.fixed_rounds = 4;
-  const auto rep1 = run_multidim(cfg1);
+  const auto rep1 = harness::run(cfg1);
 
   auto cfg8 = base(6, 1, 8);
   cfg8.inputs = grid_inputs(6, 8, 9);
   cfg8.fixed_rounds = 4;
-  const auto rep8 = run_multidim(cfg8);
+  const auto rep8 = harness::run(cfg8);
 
   EXPECT_EQ(rep1.metrics.messages_sent, rep8.metrics.messages_sent);
   EXPECT_GT(rep8.metrics.payload_bytes, 6 * rep1.metrics.payload_bytes);
@@ -98,7 +103,7 @@ TEST(MultiDim, SurvivesCrashes) {
   cfg.fixed_rounds = rounds_for_bound(5.0, cfg.epsilon, Averager::kMean, cfg.params);
   Rng rng(13);
   cfg.crashes = adversary::random_crashes(rng, cfg.params, 3, cfg.fixed_rounds);
-  const auto rep = run_multidim(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.box_validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_linf_gap;
@@ -112,7 +117,7 @@ TEST(MultiDim, AdversarialSchedulers) {
     cfg.inputs = grid_inputs(8, 2, 21);
     cfg.fixed_rounds =
         rounds_for_bound(5.0, cfg.epsilon, Averager::kMean, cfg.params);
-    const auto rep = run_multidim(cfg);
+    const auto rep = harness::run(cfg);
     EXPECT_TRUE(rep.all_output) << static_cast<int>(sched);
     EXPECT_TRUE(rep.box_validity_ok);
     EXPECT_TRUE(rep.agreement_ok) << rep.worst_linf_gap;
@@ -128,7 +133,7 @@ TEST(MultiDim, CoordinatesShrinkInLockstep) {
     cfg.inputs[i] = {static_cast<double>(i), static_cast<double>(9 - i)};
   }
   cfg.fixed_rounds = 3;
-  const auto rep = run_multidim(cfg);
+  const auto rep = harness::run(cfg);
   const double k = predicted_factor_crash_async_mean(10, 3);
   const double bound = 9.0 / std::pow(k, 3);
   EXPECT_LE(rep.worst_linf_gap, bound + 1e-9);
@@ -138,7 +143,7 @@ TEST(MultiDim, ZeroRoundsOutputsInputs) {
   auto cfg = base(4, 1, 2);
   cfg.inputs = grid_inputs(4, 2, 5);
   cfg.fixed_rounds = 0;
-  const auto rep = run_multidim(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_EQ(rep.outputs, cfg.inputs);
 }
@@ -147,12 +152,12 @@ TEST(MultiDim, ValidatesConfig) {
   auto cfg = base(4, 1, 2);
   cfg.inputs = grid_inputs(4, 3, 5);  // wrong dim
   cfg.fixed_rounds = 1;
-  EXPECT_THROW(run_multidim(cfg), std::invalid_argument);
+  EXPECT_THROW(harness::run(cfg), std::invalid_argument);
 
   auto cfg2 = base(4, 2, 2);  // n = 2t
   cfg2.inputs = grid_inputs(4, 2, 5);
   cfg2.fixed_rounds = 1;
-  EXPECT_THROW(run_multidim(cfg2), std::invalid_argument);
+  EXPECT_THROW(harness::run(cfg2), std::invalid_argument);
 }
 
 }  // namespace

@@ -9,9 +9,9 @@
 #include "adversary/byzantine.hpp"
 #include "core/async_byz.hpp"
 #include "core/codec.hpp"
-#include "core/epsilon_driver.hpp"
 #include "core/multidim.hpp"
 #include "core/round_engine.hpp"
+#include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "sched/random_scheduler.hpp"
 
@@ -19,6 +19,7 @@ namespace apxa {
 namespace {
 
 using namespace core;
+using namespace harness;
 
 // ---------------------------------------------------------------------------
 // Codec fuzz: random byte strings must decode to nullopt or throw the
@@ -128,7 +129,7 @@ TEST(GarbageInjection, WitnessProtocolUnaffected) {
   b.lo = -1e9;
   b.hi = 1e9;
   cfg.byz = {b};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
 }
@@ -169,7 +170,7 @@ TEST(TimedCrash, MidRunCrashStillConverges) {
   cfg.protocol = ProtocolKind::kCrashRound;
   cfg.inputs = linear_inputs(7, 0.0, 1.0);
   cfg.fixed_rounds = 8;
-  const auto baseline = run_async(cfg);
+  const auto baseline = harness::run(cfg);
   ASSERT_TRUE(baseline.all_output);
 
   // Crash two parties at virtual times inside the run.
@@ -196,7 +197,7 @@ TEST(Degenerate, IdenticalExtremeInputs) {
   cfg.protocol = ProtocolKind::kCrashRound;
   cfg.inputs.assign(5, 1e308);  // near DBL_MAX, all equal
   cfg.fixed_rounds = 3;
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   for (double y : rep.outputs) EXPECT_EQ(y, 1e308);
 }
@@ -208,7 +209,7 @@ TEST(Degenerate, TinySpreadBelowEpsilon) {
   cfg.mode = TerminationMode::kAdaptive;
   cfg.epsilon = 1.0;
   cfg.inputs = {0.0, 1e-9, -1e-9, 2e-9, 0.0};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.agreement_ok);
   EXPECT_LE(rep.max_round_reached, 2u);
@@ -222,7 +223,7 @@ TEST(Degenerate, MinimalSystemN3T1) {
   cfg.inputs = {0.0, 1.0, 0.25};
   cfg.fixed_rounds = rounds_for_bound(1.0, cfg.epsilon, Averager::kMean, cfg.params);
   cfg.crashes = {adversary::CrashSpec{2, 3, {}}};
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok);

@@ -8,7 +8,7 @@
 
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
-#include "core/epsilon_driver.hpp"
+#include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "runtime/thread_net.hpp"
 #include "sched/clique_scheduler.hpp"
@@ -19,6 +19,7 @@ namespace apxa {
 namespace {
 
 using namespace core;
+using namespace harness;
 
 /// Byzantine party that sends well-formed but malicious REPORT messages:
 /// undersized sets (must be rejected) and sets claiming undelivered origins
@@ -71,6 +72,46 @@ TEST(WitnessEdge, ForgedReportsHarmless) {
   }
 }
 
+TEST(WitnessEdge, OutOfBudgetTrafficProvokesNoEcho) {
+  // No honest party tags RB traffic or reports with an iteration >= the
+  // budget.  Forged ones must be dropped before the RB hub sees them:
+  // echoing a forged SEND would amplify it into Theta(n^2) honest traffic
+  // and leave a permanent hub slot.
+  class RecordingContext final : public net::Context {
+   public:
+    void send(ProcessId, Bytes) override { ++sends; }
+    void multicast(const Bytes&) override { ++sends; }
+    [[nodiscard]] ProcessId self() const override { return 0; }
+    [[nodiscard]] SystemParams params() const override { return {4, 1}; }
+    int sends = 0;
+  } ctx;
+  witness::WitnessConfig wc;
+  wc.params = {4, 1};
+  wc.input = 0.5;
+  wc.iterations = 2;
+  witness::WitnessAaProcess proc(wc);
+  proc.on_start(ctx);
+  ctx.sends = 0;
+
+  const auto rb = [](MsgType type, std::uint32_t instance, ProcessId origin) {
+    return encode_rb(RbMsg{type, instance, origin, 9.0});
+  };
+  for (const std::uint32_t instance : {2u, 3u, 1'000'000u}) {
+    proc.on_message(ctx, 1, rb(MsgType::kRbSend, instance, 1));
+    for (ProcessId from = 1; from < 4; ++from) {
+      proc.on_message(ctx, from, rb(MsgType::kRbEcho, instance, 2));
+      proc.on_message(ctx, from, rb(MsgType::kRbReady, instance, 3));
+    }
+    proc.on_message(ctx, 1,
+                    encode_report(ReportMsg{instance, std::vector<bool>(4, true)}));
+  }
+  EXPECT_EQ(ctx.sends, 0) << "out-of-budget traffic provoked honest sends";
+
+  // Control: the same SEND inside the budget is echoed.
+  proc.on_message(ctx, 1, rb(MsgType::kRbSend, 1, 1));
+  EXPECT_GT(ctx.sends, 0);
+}
+
 TEST(WitnessEdge, LaggardCatchesUpUnderCliqueScheduling) {
   // The clique scheduler makes the last t parties permanent stragglers; the
   // buffered-iteration machinery must still carry them to the output.
@@ -81,7 +122,7 @@ TEST(WitnessEdge, LaggardCatchesUpUnderCliqueScheduling) {
   cfg.inputs = linear_inputs(7, 0.0, 1.0);
   cfg.fixed_rounds = 8;
   cfg.sched = SchedKind::kClique;
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
@@ -95,7 +136,7 @@ TEST(WitnessEdge, DeterministicReplay) {
     cfg.inputs = linear_inputs(7, -1.0, 1.0);
     cfg.fixed_rounds = 6;
     cfg.seed = 1234;
-    return run_async(cfg);
+    return harness::run(cfg);
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -152,7 +193,7 @@ TEST(WitnessEdge, SingleIterationIsOneHalving) {
   cfg.protocol = ProtocolKind::kWitness;
   cfg.inputs = split_inputs(7, 3, 0.0, 1.0);
   cfg.fixed_rounds = 1;
-  const auto rep = run_async(cfg);
+  const auto rep = harness::run(cfg);
   EXPECT_TRUE(rep.all_output);
   // One iteration: outputs within the hull, spread at most half.
   EXPECT_LE(rep.worst_pair_gap, 0.5 + 1e-9);
