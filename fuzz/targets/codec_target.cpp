@@ -90,7 +90,7 @@ int codec_target(const std::uint8_t* data, std::size_t size) {
     }
 
     // The value-aware scheduler probe runs on raw wire bytes too.
-    (void)core::round_probe()(payload);
+    (void)core::value_probe()(payload);
   } catch (...) {
     fail(kName, "total decoder let an exception escape");
   }

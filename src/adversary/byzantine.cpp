@@ -210,55 +210,4 @@ void ByzVectorProcess::emit_round(net::Context& ctx, Round r) {
   }
 }
 
-ByzWitnessProcess::ByzWitnessProcess(ByzSpec spec) : spec_(spec), rng_(spec.seed) {}
-
-void ByzWitnessProcess::on_start(net::Context& ctx) { emit_iteration(ctx, 0); }
-
-void ByzWitnessProcess::on_message(net::Context& ctx, ProcessId from, BytesView payload) {
-  (void)from;
-  std::uint32_t iter = 0;
-  if (const auto rb = core::decode_rb(payload)) {
-    iter = rb->instance;
-  } else if (const auto rep = core::decode_report(payload)) {
-    iter = rep->iter;
-  } else {
-    return;
-  }
-  emit_iteration(ctx, iter);
-  emit_iteration(ctx, iter + 1);
-}
-
-void ByzWitnessProcess::emit_iteration(net::Context& ctx, std::uint32_t iter) {
-  if (spec_.kind == ByzKind::kSilent) return;
-  if (iter >= spec_.max_instances) return;
-  if (!emitted_.insert(iter).second) return;
-  const auto n = ctx.params().n;
-  for (ProcessId to = 0; to < n; ++to) {
-    if (to == ctx.self()) continue;
-    double v = 0.0;
-    switch (spec_.kind) {
-      case ByzKind::kSilent:
-        return;
-      case ByzKind::kExtremeLow:
-        v = spec_.lo;
-        break;
-      case ByzKind::kExtremeHigh:
-        v = spec_.hi;
-        break;
-      case ByzKind::kEquivocate:
-      case ByzKind::kSpoiler:
-        v = (to < n / 2) ? spec_.lo : spec_.hi;
-        break;
-      case ByzKind::kNoise:
-        v = rng_.next_double(spec_.lo, spec_.hi);
-        break;
-      case ByzKind::kHullEscape:
-        v = spec_.hi;  // scalar witness protocol: plain high extreme
-        break;
-    }
-    ctx.send(to, core::encode_rb(core::RbMsg{core::MsgType::kRbSend, iter,
-                                             ctx.self(), v}));
-  }
-}
-
 }  // namespace apxa::adversary

@@ -64,8 +64,9 @@ struct ByzSpec {
   std::uint32_t inflate_budget = 0;  ///< nonzero: claim this round budget
   std::uint64_t seed = 1;            ///< noise determinism
   /// Attack at most this many rounds/iterations.  Bounds the traffic a lone
-  /// attacker can generate: without a cap a witness-protocol attacker feeds
-  /// on the echo traffic its own forgeries provoke and escalates forever.
+  /// attacker can generate: without a cap an RB attacker that learns rounds
+  /// from echo traffic feeds on the echoes its own forgeries provoke and
+  /// escalates forever.
   std::uint32_t max_instances = 128;
 };
 
@@ -96,11 +97,11 @@ enum class VectorWire : std::uint8_t {
   /// DIFFERENT forged point.
   kDirect,
   /// Vector RB SENDs (core::encode_rb_vec): the traffic of the equalized
-  /// collect (kVectorConvexRB).  The attacker equivocates its SENDs
-  /// per-receiver exactly as in kDirect — but Bracha either resolves ONE of
-  /// the values consistently everywhere or delivers none at all, so the
-  /// equivocation that splits quorum-collected views is structurally
-  /// neutralized.  The attacker stays silent in other parties' RB instances
+  /// collect (kVectorConvexRB, and kWitness at dim 1).  The attacker
+  /// equivocates its SENDs per-receiver exactly as in kDirect — but Bracha
+  /// either resolves ONE of the values consistently everywhere or delivers
+  /// none at all, so the equivocation that splits quorum-collected views is
+  /// structurally neutralized.  The attacker stays silent in other parties' RB instances
   /// (it contributes no echoes/readies).
   kRbVec,
 };
@@ -130,25 +131,6 @@ class ByzVectorProcess final : public net::Process {
   std::vector<double> seen_lo_, seen_hi_;  // per-coordinate observed extremes
   bool seen_any_ = false;
   std::set<ProcessId> senders_seen_;  ///< distinct senders; gates hull-escape
-};
-
-/// Attacker for the witness-technique protocol: equivocates RB SENDs (which
-/// Bracha must either resolve consistently or not deliver at all) and stays
-/// silent in other parties' RB instances.  Strategies reuse ByzKind; kSilent
-/// sends nothing at all.
-class ByzWitnessProcess final : public net::Process {
- public:
-  explicit ByzWitnessProcess(ByzSpec spec);
-
-  void on_start(net::Context& ctx) override;
-  void on_message(net::Context& ctx, ProcessId from, BytesView payload) override;
-
- private:
-  void emit_iteration(net::Context& ctx, std::uint32_t iter);
-
-  ByzSpec spec_;
-  Rng rng_;
-  std::set<std::uint32_t> emitted_;
 };
 
 }  // namespace apxa::adversary

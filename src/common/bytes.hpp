@@ -15,7 +15,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "common/ensure.hpp"
@@ -121,5 +123,18 @@ class ByteReader {
   BytesView data_;
   std::size_t pos_ = 0;
 };
+
+/// Totality guard for wire decoders: runs `decode` (which returns an
+/// optional) and maps a ByteReader overrun (std::invalid_argument) to
+/// nullopt.  Decoders run on byzantine-forgeable input inside honest
+/// parties' message loops, where a throw would crash a correct process.
+template <class F>
+auto total_decode(F&& decode) -> decltype(decode()) {
+  try {
+    return decode();
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
 
 }  // namespace apxa

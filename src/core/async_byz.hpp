@@ -8,7 +8,8 @@
 // selections then differ by at most spread/c with c = the number of selected
 // elements, and c >= 2 requires n > 5t — the resilience bound this protocol
 // is famous for, and the gap (t < n/3 is optimal) that the follow-on witness
-// technique closed at cubic message cost (src/witness/).
+// technique closed at cubic message cost (ProtocolKind::kWitness, run on the
+// equalized collect of core/collect.hpp).
 //
 // This header only provides configuration factories; the process class is
 // the shared RoundAaProcess.

@@ -34,6 +34,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "common/ids.hpp"
 #include "core/multiset_ops.hpp"
@@ -67,7 +68,12 @@ class RoundAaProcess final : public net::Process {
 
   void on_start(net::Context& ctx) override;
   void on_message(net::Context& ctx, ProcessId from, BytesView payload) override;
-  [[nodiscard]] std::optional<double> output() const override { return output_; }
+  [[nodiscard]] bool has_output() const override { return output_.has_value(); }
+  /// The decision as a 1-point.
+  [[nodiscard]] std::optional<std::vector<double>> vector_output() const override {
+    if (!output_) return std::nullopt;
+    return std::vector<double>{*output_};
+  }
 
   [[nodiscard]] double current_value() const { return value_; }
   [[nodiscard]] Round current_round() const { return round_; }

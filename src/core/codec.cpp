@@ -11,14 +11,26 @@ bool type_in(MsgType t, std::initializer_list<MsgType> set) {
   return false;
 }
 
+// Reads [dim varint][f64 x dim] to the end of the frame.  Checks the length
+// before allocating: a forged 5-byte frame claiming a huge dim must not make
+// an honest party zero-fill the claimed size.
+std::optional<std::vector<double>> read_point(ByteReader& r) {
+  const std::uint64_t dim = r.get_varint();
+  if (dim == 0 || dim > (1u << 16) || r.remaining() != 8 * dim) {
+    return std::nullopt;
+  }
+  std::vector<double> v(dim);
+  for (double& x : v) x = r.get_f64();
+  return v;
+}
+
 }  // namespace
 
 // Decoders are TOTAL: every byte sequence yields a message or nullopt,
 // never an exception.  They run on raw network input inside honest parties'
 // message loops (and scheduler probes), where a byzantine peer controls the
 // bytes — a truncated frame that threw would crash every correct process.
-// detail::total_decode (codec.hpp) translates ByteReader overruns.
-using detail::total_decode;
+// total_decode (common/bytes.hpp) maps ByteReader overruns to nullopt.
 
 std::optional<MsgType> peek_type(BytesView payload) {
   if (payload.empty()) return std::nullopt;
@@ -142,22 +154,48 @@ std::optional<RbVecMsg> decode_rb_vec(BytesView payload) {
     m.type = *t;
     m.instance = static_cast<std::uint32_t>(r.get_varint());
     m.origin = static_cast<ProcessId>(r.get_varint());
-    const std::uint64_t dim = r.get_varint();
-    if (dim == 0 || dim > (1u << 16) || r.remaining() != 8 * dim) {
-      return std::nullopt;
-    }
-    m.value.resize(dim);
-    for (std::uint64_t c = 0; c < dim; ++c) m.value[c] = r.get_f64();
-    if (!r.done()) return std::nullopt;
+    auto v = read_point(r);
+    if (!v) return std::nullopt;
+    m.value = std::move(*v);
     return m;
   });
 }
 
-sched::ProbeFn round_probe() {
+Bytes encode_vec_round(Round r, const std::vector<double>& v) {
+  ByteWriter w;
+  w.put_u8(static_cast<std::uint8_t>(MsgType::kVecRound));
+  w.put_varint(r);
+  w.put_varint(v.size());
+  for (double x : v) w.put_f64(x);
+  return std::move(w).take();
+}
+
+std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
+    BytesView payload) {
+  if (peek_type(payload) != MsgType::kVecRound) return std::nullopt;
+  return total_decode(
+      [&]() -> std::optional<std::pair<Round, std::vector<double>>> {
+        ByteReader r(payload);
+        r.get_u8();
+        const auto round = static_cast<Round>(r.get_varint());
+        auto v = read_point(r);
+        if (!v) return std::nullopt;
+        return std::make_pair(round, std::move(*v));
+      });
+}
+
+sched::ProbeFn value_probe() {
   return [](BytesView payload) -> std::optional<sched::ValueProbe> {
-    const auto m = decode_round(payload);
-    if (!m) return std::nullopt;
-    return sched::ValueProbe{m->round, m->value};
+    if (const auto m = decode_round(payload)) {
+      return sched::ValueProbe{m->round, m->value};
+    }
+    if (const auto m = decode_vec_round(payload)) {
+      return sched::ValueProbe{m->first, m->second[0]};
+    }
+    if (const auto m = decode_rb_vec(payload)) {
+      return sched::ValueProbe{m->instance, m->value[0]};
+    }
+    return std::nullopt;
   };
 }
 

@@ -5,13 +5,18 @@
 //
 //   ROUND   : round-based value exchange   [tag][round varint][value f64][budget varint]
 //   DONE    : frozen-value announcement    [tag][round varint][value f64]
-//   RB_*    : Bracha reliable broadcast    [tag][instance varint][origin varint][value f64]
-//   REPORT  : witness report (AAD'04 and   [tag][iter varint][bitset of delivered origins]
-//             the equalized collect layer)
-//   VEC     : vector round exchange        [tag][round varint][dim varint][f64 x dim][budget varint]
-//             (encode_vec_round, multidim.hpp)
+//   RB_*    : scalar Bracha RB             [tag][instance varint][origin varint][value f64]
+//   REPORT  : witness report (the          [tag][iter varint][bitset of delivered origins]
+//             equalized collect layer)
+//   VEC     : vector round exchange        [tag][round varint][dim varint][f64 x dim]
+//             (the quorum collect layer)
 //   RBVEC_* : Bracha RB, vector payload    [tag][instance varint][origin varint][dim varint][f64 x dim]
-//             (rb::VecBrachaHub, the transport of the equalized collect layer)
+//             (rb::BrachaHub, the transport of the equalized collect layer)
+//
+// The scalar RB tags 3-5 are codec-only: no protocol sends them (the one RB
+// hub speaks RBVEC; scalar protocols broadcast 1-point payloads).  The codec
+// stays because the repository benchmark (perfbench/) times it; the hub
+// ignores these frames.
 //
 // The `budget` field of ROUND carries the sender's current round budget in
 // the adaptive-termination mode (0 when unused) — budgets piggyback on value
@@ -29,6 +34,8 @@
 #pragma once
 
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/ids.hpp"
@@ -43,7 +50,7 @@ enum class MsgType : std::uint8_t {
   kRbEcho = 4,
   kRbReady = 5,
   kReport = 6,
-  kVecRound = 7,    ///< encoded by core::encode_vec_round (multidim.hpp)
+  kVecRound = 7,
   kRbVecSend = 8,
   kRbVecEcho = 9,
   kRbVecReady = 10,
@@ -73,7 +80,7 @@ struct ReportMsg {
 };
 
 /// Bracha RB message carrying a full R^d point — the wire format of
-/// rb::VecBrachaHub and hence of the equalized collect layer
+/// rb::BrachaHub and hence of the equalized collect layer
 /// (core/collect.hpp).  Mirrors RbMsg with a vector payload.
 struct RbVecMsg {
   MsgType type = MsgType::kRbVecSend;  ///< kRbVecSend / kRbVecEcho / kRbVecReady
@@ -81,23 +88,6 @@ struct RbVecMsg {
   ProcessId origin = kNoProcess;       ///< original broadcaster
   std::vector<double> value;
 };
-
-namespace detail {
-
-/// Shared implementation guard for wire decoders: runs `decode` and maps a
-/// ByteReader overrun (std::invalid_argument) to nullopt, making the
-/// decoder total over byzantine-forgeable input.  Internal to the codec
-/// layer (core/codec.cpp and the vec-round codec in core/multidim.cpp).
-template <class F>
-auto total_decode(F&& decode) -> decltype(decode()) {
-  try {
-    return decode();
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace detail
 
 /// Peek at the type tag without decoding; nullopt on empty payload.
 std::optional<MsgType> peek_type(BytesView payload);
@@ -117,8 +107,15 @@ std::optional<ReportMsg> decode_report(BytesView payload);
 Bytes encode_rb_vec(const RbVecMsg& m);
 std::optional<RbVecMsg> decode_rb_vec(BytesView payload);
 
-/// Scheduler probe that exposes ROUND messages' (round, value) to value-aware
-/// adversaries.  Works for every round-based protocol in the library.
-sched::ProbeFn round_probe();
+/// VEC frame: (round, point).  Rejects dim 0 and dim > 2^16.
+Bytes encode_vec_round(Round r, const std::vector<double>& v);
+std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
+    BytesView payload);
+
+/// Scheduler probe that exposes (round, first coordinate) of every frame
+/// that carries a protocol value — ROUND, VEC and the three RBVEC phases
+/// (instance == round) — to value-aware adversaries.  Every other frame
+/// probes to nullopt.
+sched::ProbeFn value_probe();
 
 }  // namespace apxa::core

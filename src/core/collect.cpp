@@ -5,7 +5,6 @@
 
 #include "common/ensure.hpp"
 #include "core/codec.hpp"
-#include "core/multidim.hpp"
 
 namespace apxa::core {
 
@@ -131,7 +130,7 @@ class QuorumCollector final : public Collector {
 //
 // Reliable-broadcast + witness collect (header comment has the protocol and
 // the overlap argument).  Per round r:
-//   1. RB-broadcast own value under instance r (rb::VecBrachaHub);
+//   1. RB-broadcast own value under instance r (rb::BrachaHub);
 //   2. once own value and a quorum of n - t round-r values are RB-delivered,
 //      multicast REPORT(r, bitset of delivered origins);
 //   3. accept a report when every origin it lists is delivered locally
@@ -172,9 +171,9 @@ class EqualizedCollector final : public Collector {
     // tags traffic with a round >= the budget, and echoing a forged
     // out-of-budget RB instance would amplify it into Theta(n^2) honest
     // messages and a permanent hub slot at every correct party.
-    if (auto rb = decode_rb_vec(payload)) {
-      if (rb->instance >= max_rounds_) return true;
-      if (hub_.handle(ctx, from, payload)) recheck(ctx);
+    if (const auto rb = decode_rb_vec(payload)) {
+      // The hub's delivery callback drives recheck().
+      if (rb->instance < max_rounds_) hub_.handle(ctx, from, payload);
       return true;
     }
     if (const auto rep = decode_report(payload)) {
@@ -280,7 +279,7 @@ class EqualizedCollector final : public Collector {
   Round max_rounds_;
   ViewFn view_;
   obs::TraceSink* trace_ = nullptr;
-  rb::VecBrachaHub hub_;
+  rb::BrachaHub hub_;
   std::map<Round, RoundState> rounds_;
   Round round_ = 0;
   ProcessId self_ = kNoProcess;

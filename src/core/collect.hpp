@@ -18,7 +18,7 @@
 //                entries.  All safety rests on the averaging rule.
 //
 //   kEqualized — the Mendes-Herlihy / AAD'04 collect: values travel by
-//                Bracha reliable broadcast (rb::VecBrachaHub), and freezing
+//                Bracha reliable broadcast (rb::BrachaHub), and freezing
 //                is gated by a witness phase.  A party that has RB-delivered
 //                its own value plus a quorum of n - t round-r values
 //                multicasts a REPORT listing the delivered origins; it
@@ -49,10 +49,11 @@
 // once per round when that round's view freezes.  The ViewFn may re-enter
 // begin_round() for the next round (and usually does).
 //
-// core::VectorAaProcess (core/multidim.hpp) runs every vector protocol kind
-// on one of these engines: kQuorum for kVectorCrash/kVectorByz/kVectorConvex,
-// kEqualized for kVectorConvexRB.  The entries are R^d points; scalar
-// protocols can use dim-1 vectors.
+// core::VectorAaProcess (core/multidim.hpp) runs on one of these engines:
+// kQuorum for kVectorCrash/kVectorByz/kVectorConvex, kEqualized for
+// kVectorConvexRB and for the scalar AAD'04 witness protocol (kWitness, whose
+// entries are 1-points).  The scalar round protocols (core::RoundAaProcess)
+// still collect through core::RoundCollector.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +102,7 @@ class Collector {
 
   /// Whether the owner must keep feeding handle() after it has decided.
   /// True for the equalized engine: laggards' RB instances need this party's
-  /// echoes/readies for totality (same obligation as witness/aad04.hpp).
+  /// echoes/readies for totality (rb/bracha.hpp).
   [[nodiscard]] virtual bool serve_when_done() const = 0;
 };
 

@@ -1,49 +1,10 @@
 #include "core/multidim.hpp"
 
 #include "common/ensure.hpp"
-#include "core/codec.hpp"  // detail::total_decode
 #include "geom/geom.hpp"
 #include "geom/safe_area.hpp"
 
 namespace apxa::core {
-
-namespace {
-constexpr std::uint8_t kVecRoundTag = 7;
-}
-
-Bytes encode_vec_round(Round r, const std::vector<double>& v) {
-  ByteWriter w;
-  w.put_u8(kVecRoundTag);
-  w.put_varint(r);
-  w.put_varint(v.size());
-  for (double x : v) w.put_f64(x);
-  return std::move(w).take();
-}
-
-std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
-    BytesView payload) {
-  if (payload.empty() || static_cast<std::uint8_t>(payload[0]) != kVecRoundTag) {
-    return std::nullopt;
-  }
-  // Total like the core/codec.cpp decoders: a truncated frame from a
-  // byzantine peer must decode to nullopt, not throw out of an honest
-  // party's message loop.
-  return detail::total_decode(
-      [&]() -> std::optional<std::pair<Round, std::vector<double>>> {
-        ByteReader r(payload);
-        r.get_u8();
-        const auto round = static_cast<Round>(r.get_varint());
-        const auto dim = r.get_varint();
-        if (dim > 1u << 16) return std::nullopt;
-        std::vector<double> v(dim);
-        for (auto& x : v) {
-          if (r.remaining() < 8) return std::nullopt;
-          x = r.get_f64();
-        }
-        if (!r.done()) return std::nullopt;
-        return std::make_pair(round, std::move(v));
-      });
-}
 
 VectorAaProcess::VectorAaProcess(VectorAaConfig cfg) : cfg_(std::move(cfg)) {
   const SystemParams p = cfg_.params;

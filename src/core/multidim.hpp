@@ -31,10 +31,17 @@
 //    different values to different honest parties, so for the safe-area
 //    rule the textbook round bounds do NOT apply — contraction is scheduler-
 //    and adversary-dependent.
-//  - CollectMode::kEqualized (kVectorConvexRB): Bracha reliable broadcast
-//    plus witness-gated freezing, so any two honest round-r views overlap
-//    in >= n - t common entries and equivocation is structurally
+//  - CollectMode::kEqualized (kVectorConvexRB, kWitness): Bracha reliable
+//    broadcast plus witness-gated freezing, so any two honest round-r views
+//    overlap in >= n - t common entries and equivocation is structurally
 //    neutralized.  Theta(n^3) messages per round.
+//
+// The AAD'04 witness protocol (Abraham-Amit-Dolev, OPODIS'04;
+// ProtocolKind::kWitness) is this process at d = 1 with the kReduceMidpoint
+// rule on the equalized engine.  Two honest views share >= n - t entries,
+// so each holds at most t entries the other lacks; reduce_t launders the
+// byzantine ones and the midpoint halves the honest spread every round:
+// K = 2 at optimal resilience n > 3t, independent of n/t.
 //
 // Scope of the convex guarantee: the safe area of an m-point view is
 // guaranteed nonempty only when m >= (d+2)t + 1; past that (large d, small
@@ -54,6 +61,7 @@
 #include <vector>
 
 #include "common/ids.hpp"
+#include "core/codec.hpp"  // encode_vec_round / decode_vec_round (VEC frames)
 #include "core/collect.hpp"
 #include "core/multiset_ops.hpp"
 #include "net/process.hpp"
@@ -90,8 +98,7 @@ struct VectorAaConfig {
 };
 
 /// Round-based AA process for R^d (fixed-round termination).  Decides
-/// through the vector side of the process interface: output() stays empty,
-/// vector_output()/has_output() carry the decision on every backend.
+/// through vector_output()/has_output() on every backend.
 class VectorAaProcess final : public net::Process {
  public:
   explicit VectorAaProcess(VectorAaConfig cfg);
@@ -121,10 +128,5 @@ class VectorAaProcess final : public net::Process {
   bool done_ = false;
   ProcessId self_ = kNoProcess;
 };
-
-/// Wire format for vector rounds (tag 7): [round][dim][f64 x dim].
-Bytes encode_vec_round(Round r, const std::vector<double>& v);
-std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
-    BytesView payload);
 
 }  // namespace apxa::core

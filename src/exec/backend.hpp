@@ -48,7 +48,7 @@ struct ExecOptions {
   std::uint64_t max_deliveries = 50'000'000;
   /// Wall-clock cap for the threaded backend (ignored by the simulator).
   std::chrono::milliseconds timeout{20'000};
-  /// Completion probe; empty = party done once output() is non-empty.
+  /// Completion probe; empty = party done once has_output() is true.
   DonePredicate done;
 };
 
@@ -57,11 +57,8 @@ struct ExecResult {
   /// True when every correct party has produced an output (note: under a
   /// live-horizon DonePredicate a run can complete without any outputs).
   bool all_correct_output = false;
-  /// Scalar outputs of the parties correct at the end of the run, in id
-  /// order.  Vector-valued protocols leave this empty (see vector_outputs).
-  std::vector<double> outputs;
-  /// Vector outputs of the correct parties that decided, in id order; scalar
-  /// protocols appear as 1-vectors (net::Process::vector_output adapts).
+  /// Decisions of the parties correct at the end of the run that decided,
+  /// in id order; scalar protocols decide 1-points.
   std::vector<std::vector<double>> vector_outputs;
   /// Per-party time at which the output appeared: virtual time in Delta
   /// units on the simulator, wall-clock seconds since run() on the threaded

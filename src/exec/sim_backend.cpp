@@ -43,7 +43,6 @@ ExecResult SimBackend::run(const ExecOptions& opts) {
   ExecResult res;
   res.status = net_.run_until_done(party_done, opts.max_deliveries);
   res.all_correct_output = net_.all_correct_output();
-  res.outputs = net_.correct_outputs();
   res.vector_outputs = net_.correct_vector_outputs();
   res.metrics = net_.metrics();
   res.correct.resize(n);

@@ -31,7 +31,6 @@ ExecResult SocketBackend::run(const ExecOptions& opts) {
   res.status = completed ? net::RunStatus::kPredicateSatisfied
                          : net::RunStatus::kTimedOut;
   res.all_correct_output = net_.all_correct_output();
-  res.outputs = net_.correct_outputs();
   res.vector_outputs = net_.correct_vector_outputs();
   res.metrics = net_.metrics();
   res.exec_stats = net_.exec_stats();

@@ -13,7 +13,6 @@
 #include "sched/fifo_scheduler.hpp"
 #include "sched/greedy_split_scheduler.hpp"
 #include "sched/random_scheduler.hpp"
-#include "witness/aad04.hpp"
 
 namespace apxa::harness {
 
@@ -79,21 +78,19 @@ sched::ProbeFn envelope_aware(sched::ProbeFn inner) {
   };
 }
 
-// Shared by the scalar and vector config overloads: everything except the
-// value probe the greedy-split scheduler snoops payloads with is identical.
+// Shared by the scalar and vector config overloads: one value probe reads
+// every value-carrying frame kind (core::value_probe).
 std::unique_ptr<sched::Scheduler> make_scheduler_impl(SchedKind kind,
                                                       std::uint64_t seed,
-                                                      SystemParams params,
-                                                      sched::ProbeFn probe) {
-  probe = envelope_aware(std::move(probe));
+                                                      SystemParams params) {
   switch (kind) {
     case SchedKind::kRandom:
       return std::make_unique<sched::RandomScheduler>(seed);
     case SchedKind::kFifo:
       return std::make_unique<sched::FifoScheduler>();
     case SchedKind::kGreedySplit:
-      return std::make_unique<sched::GreedySplitScheduler>(std::move(probe),
-                                                           params.n);
+      return std::make_unique<sched::GreedySplitScheduler>(
+          envelope_aware(core::value_probe()), params.n);
     case SchedKind::kTargeted:
       return std::make_unique<sched::TargetedDelayScheduler>(seed);
     case SchedKind::kClique: {
@@ -108,8 +105,7 @@ std::unique_ptr<sched::Scheduler> make_scheduler_impl(SchedKind kind,
 }  // namespace
 
 std::unique_ptr<sched::Scheduler> make_scheduler(const RunConfig& cfg) {
-  return make_scheduler_impl(cfg.sched, cfg.seed, cfg.params,
-                             core::round_probe());
+  return make_scheduler_impl(cfg.sched, cfg.seed, cfg.params);
 }
 
 std::vector<std::unique_ptr<net::Process>> build_processes(
@@ -123,7 +119,9 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
       const auto it = std::find_if(cfg.byz.begin(), cfg.byz.end(),
                                    [p](const auto& b) { return b.who == p; });
       if (cfg.protocol == ProtocolKind::kWitness) {
-        procs.push_back(std::make_unique<adversary::ByzWitnessProcess>(*it));
+        // The witness protocol's values travel as 1-point vector RB.
+        procs.push_back(std::make_unique<adversary::ByzVectorProcess>(
+            *it, 1, adversary::VectorWire::kRbVec));
       } else {
         procs.push_back(std::make_unique<adversary::ByzRoundProcess>(*it));
       }
@@ -148,12 +146,21 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
         break;
       }
       case ProtocolKind::kWitness: {
-        witness::WitnessConfig wc;
-        wc.params = cfg.params;
-        wc.input = cfg.inputs[p];
-        wc.iterations = cfg.fixed_rounds;
-        wc.trace = trace;
-        procs.push_back(std::make_unique<witness::WitnessAaProcess>(wc));
+        // AAD'04 is the equalized collect at d = 1 with the reduce-midpoint
+        // rule (core/multidim.hpp).
+        core::VectorAaConfig pc;
+        pc.params = cfg.params;
+        pc.input = {cfg.inputs[p]};
+        pc.averager = core::Averager::kReduceMidpoint;
+        pc.fixed_rounds = cfg.fixed_rounds;
+        pc.collect = core::CollectMode::kEqualized;
+        if (trace) {
+          pc.trace = [trace](ProcessId q, Round r, const std::vector<double>& v) {
+            trace(q, r, v[0]);
+          };
+        }
+        pc.trace_sink = cfg.trace;
+        procs.push_back(std::make_unique<core::VectorAaProcess>(pc));
         break;
       }
       case ProtocolKind::kVectorCrash:
@@ -200,22 +207,7 @@ std::set<ProcessId> byzantine_ids(const VectorRunConfig& cfg) {
 }
 
 std::unique_ptr<sched::Scheduler> make_scheduler(const VectorRunConfig& cfg) {
-  // Value-aware probe over the first coordinate of vector rounds.  In the
-  // equalized-collect protocol values travel as vector RB messages instead,
-  // so the probe reads those too (instance == round) — value-aware
-  // schedulers stay value-aware against kVectorConvexRB.
-  auto probe = [](BytesView payload) -> std::optional<sched::ValueProbe> {
-    if (const auto m = core::decode_vec_round(payload)) {
-      if (m->second.empty()) return std::nullopt;
-      return sched::ValueProbe{m->first, m->second[0]};
-    }
-    if (const auto rb = core::decode_rb_vec(payload)) {
-      if (rb->value.empty()) return std::nullopt;
-      return sched::ValueProbe{rb->instance, rb->value[0]};
-    }
-    return std::nullopt;
-  };
-  return make_scheduler_impl(cfg.sched, cfg.seed, cfg.params, std::move(probe));
+  return make_scheduler_impl(cfg.sched, cfg.seed, cfg.params);
 }
 
 std::vector<std::unique_ptr<net::Process>> build_processes(
@@ -294,8 +286,8 @@ exec::DonePredicate make_done_predicate(const RunConfig& cfg) {
   const Round horizon = cfg.fixed_rounds;
   if (cfg.protocol == ProtocolKind::kWitness) {
     return [horizon](const net::Process& pr) {
-      const auto& w = dynamic_cast<const witness::WitnessAaProcess&>(pr);
-      return w.current_iteration() >= horizon;
+      const auto& w = dynamic_cast<const core::VectorAaProcess&>(pr);
+      return w.current_round() >= horizon;
     };
   }
   return [horizon](const net::Process& pr) {

@@ -92,7 +92,8 @@ RunReport finalize(const RunConfig& cfg, const exec::ExecResult& res,
   RunReport rep;
   rep.status = res.status;
   rep.all_output = res.all_correct_output;
-  rep.outputs = res.outputs;
+  rep.outputs.reserve(res.vector_outputs.size());
+  for (const auto& y : res.vector_outputs) rep.outputs.push_back(y[0]);
   rep.metrics = res.metrics;
   rep.exec_stats = res.exec_stats;
 
@@ -287,12 +288,9 @@ VectorRunReport finalize(const VectorRunConfig& cfg, const exec::ExecResult& res
     return tags[static_cast<std::size_t>(t)];
   };
   rep.msgs_value = tag(core::MsgType::kRound) + tag(core::MsgType::kVecRound);
-  rep.msgs_rb_send =
-      tag(core::MsgType::kRbSend) + tag(core::MsgType::kRbVecSend);
-  rep.msgs_rb_echo =
-      tag(core::MsgType::kRbEcho) + tag(core::MsgType::kRbVecEcho);
-  rep.msgs_rb_ready =
-      tag(core::MsgType::kRbReady) + tag(core::MsgType::kRbVecReady);
+  rep.msgs_rb_send = tag(core::MsgType::kRbVecSend);
+  rep.msgs_rb_echo = tag(core::MsgType::kRbVecEcho);
+  rep.msgs_rb_ready = tag(core::MsgType::kRbVecReady);
   rep.msgs_report = tag(core::MsgType::kReport);
   const bool valid = rep.box_validity_ok &&
                      (rep.convex_validity_ok ||

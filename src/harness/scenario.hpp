@@ -34,7 +34,10 @@ namespace apxa::harness {
 enum class ProtocolKind : std::uint8_t {
   kCrashRound,   ///< Fekete-style round-based (crash model)
   kByzRound,     ///< DLPSW asynchronous byzantine (t < n/5)
-  kWitness,      ///< AAD'04 witness technique (t < n/3)
+  /// AAD'04 witness technique (t < n/3): the equalized collect at d = 1
+  /// with the reduce-midpoint rule (core/multidim.hpp).  Theta(n^3)
+  /// messages per iteration.
+  kWitness,
   kVectorCrash,  ///< coordinate-wise R^d rounds (crash model) — VectorRunConfig
   kVectorByz,    ///< coordinate-wise R^d laundering (box validity only) — VectorRunConfig
   kVectorConvex, ///< safe-area R^d averaging, quorum collect (convex validity, n > 3t) — VectorRunConfig
@@ -211,7 +214,7 @@ struct VectorRunReport {
   /// Direct value messages (ROUND + VEC tags): all the traffic of quorum
   /// collect.
   std::uint64_t msgs_value = 0;
-  /// Reliable-broadcast traffic (scalar + vector SEND/ECHO/READY tags).
+  /// Reliable-broadcast traffic (RBVEC SEND/ECHO/READY tags).
   std::uint64_t msgs_rb_send = 0, msgs_rb_echo = 0, msgs_rb_ready = 0;
   /// Witness reports (REPORT tag).
   std::uint64_t msgs_report = 0;

@@ -358,9 +358,8 @@ SessionReport Session::run_multiplexed() {
         ri.all_correct_output = false;
         continue;
       }
-      if (const auto y = sub.output()) ri.outputs.push_back(*y);
-      if (auto vy = sub.vector_output()) {
-        ri.vector_outputs.push_back(std::move(*vy));
+      if (auto y = sub.vector_output()) {
+        ri.vector_outputs.push_back(std::move(*y));
       }
     }
     if (!ri.all_correct_output) out.all_output = false;

@@ -1,25 +1,8 @@
 #include "net/envelope.hpp"
 
 #include <limits>
-#include <stdexcept>
 
 namespace apxa::net {
-
-namespace {
-
-// Totality guard shared by the envelope decoders: ByteReader overruns
-// (std::invalid_argument) become nullopt, mirroring core::detail::total_decode
-// without depending on the protocol layer.
-template <class F>
-auto total_decode(F&& decode) -> decltype(decode()) {
-  try {
-    return decode();
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-}
-
-}  // namespace
 
 Bytes encode_envelope(std::uint32_t instance, BytesView inner) {
   APXA_ENSURE(!inner.empty(), "cannot envelope an empty frame");

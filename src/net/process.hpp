@@ -9,10 +9,10 @@
 //  - multicast(payload) sends to every *other* party; a process accounts for
 //    its own contribution locally (the classic "n - t values including your
 //    own" rule is implemented inside the protocols).
-//  - output() becomes non-empty at most once and never changes afterwards.
-//    Vector-valued protocols decide through vector_output() instead; the two
-//    are linked by has_output(), which transports use for completion checks
-//    so scalar and vector protocols run on the same engines.
+//  - A decision is a point in R^d; scalar protocols decide a 1-point.
+//    vector_output() becomes non-empty at most once and never changes
+//    afterwards.  has_output() is the allocation-free "has decided" probe
+//    transports poll for completion; a deciding process overrides both.
 //  - Byzantine parties are ordinary Process implementations that misbehave;
 //    per-receiver send() already gives them full equivocation power.
 #pragma once
@@ -51,22 +51,22 @@ class Process {
   /// Called for each delivered message.
   virtual void on_message(Context& ctx, ProcessId from, BytesView payload) = 0;
 
-  /// Protocol output, if decided.  Remains stable once set.  Vector-valued
-  /// protocols leave this empty and decide through vector_output().
-  [[nodiscard]] virtual std::optional<double> output() const { return std::nullopt; }
-
-  /// True when the protocol has decided (scalar or vector).  Transports use
-  /// this — not output() — for completion checks, so it must stay allocation
-  /// free; override it alongside vector_output().
+  /// True once the protocol has decided.  Transports poll this after every
+  /// upcall, so it must stay allocation free.
   [[nodiscard]] virtual bool has_output() const { return output().has_value(); }
 
-  /// Vector-valued protocol output.  The default adapts a scalar decision to
-  /// a 1-vector, so every deciding process — scalar or vector — exposes its
-  /// result here and backends collect outputs uniformly.
+  /// The decision, a point in R^d; empty until has_output().  Stable once
+  /// set.  Transports and the harness read decisions only through this.
   [[nodiscard]] virtual std::optional<std::vector<double>> vector_output() const {
-    if (const auto y = output()) return std::vector<double>{*y};
     return std::nullopt;
   }
+
+ protected:
+  /// Completion-only hook behind the default has_output(): nothing reads a
+  /// value from it, so a process that overrides only this finishes without
+  /// deciding a value.  Kept because the repository benchmark's null
+  /// protocol (perfbench/src/probes.cpp) overrides it.
+  [[nodiscard]] virtual std::optional<double> output() const { return std::nullopt; }
 };
 
 }  // namespace apxa::net

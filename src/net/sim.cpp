@@ -318,15 +318,6 @@ PartyStatus SimNetwork::status(ProcessId p) const {
   return status_[p];
 }
 
-std::vector<double> SimNetwork::correct_outputs() const {
-  std::vector<double> out;
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (status_[p] != PartyStatus::kCorrect) continue;
-    if (const auto y = procs_[p]->output()) out.push_back(*y);
-  }
-  return out;
-}
-
 std::vector<std::vector<double>> SimNetwork::correct_vector_outputs() const {
   std::vector<std::vector<double>> out;
   for (ProcessId p = 0; p < params_.n; ++p) {

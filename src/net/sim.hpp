@@ -128,11 +128,8 @@ class SimNetwork final {
   [[nodiscard]] double now() const { return now_; }
   [[nodiscard]] const Metrics& metrics() const { return metrics_; }
 
-  /// Outputs of all currently-correct parties (in id order) that have output.
-  [[nodiscard]] std::vector<double> correct_outputs() const;
-
-  /// Vector outputs of all currently-correct parties (in id order) that have
-  /// decided; scalar protocols appear as 1-vectors (net::Process adapts).
+  /// Decisions of all currently-correct parties (in id order) that have
+  /// decided; scalar protocols decide 1-points.
   [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
 
   /// Virtual time at which party p produced its output (checked after each

@@ -59,8 +59,6 @@ SocketNetwork::SocketNetwork(SystemParams params)
       multicast_order_(params.n),
       unacked_now_(params.n),
       has_output_(params.n),
-      has_scalar_(params.n),
-      output_value_(params.n),
       output_vec_(params.n),
       output_time_(params.n),
       done_(params.n) {
@@ -72,8 +70,6 @@ SocketNetwork::SocketNetwork(SystemParams params)
     sends_made_[i] = 0;
     unacked_now_[i] = 0;
     has_output_[i] = false;
-    has_scalar_[i] = false;
-    output_value_[i] = 0.0;
     output_time_[i] = kInf;
     done_[i] = false;
   }
@@ -389,10 +385,6 @@ void SocketNetwork::publish(ProcessId p) {
       if (auto vy = parties_[p].proc->vector_output()) {
         output_vec_[p] = std::move(*vy);
       }
-      if (const auto y = parties_[p].proc->output()) {
-        output_value_[p].store(*y, std::memory_order_relaxed);
-        has_scalar_[p].store(true, std::memory_order_relaxed);
-      }
       output_time_[p].store(since.count(), std::memory_order_release);
       has_output_[p].store(true, std::memory_order_release);
     }
@@ -601,18 +593,6 @@ std::uint64_t SocketNetwork::total_unacked() const {
   return total;
 }
 
-std::vector<double> SocketNetwork::correct_outputs() const {
-  std::vector<double> out;
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (parties_[p].remote || !is_correct(p)) continue;
-    if (has_output_[p].load(std::memory_order_acquire) &&
-        has_scalar_[p].load(std::memory_order_relaxed)) {
-      out.push_back(output_value_[p].load(std::memory_order_relaxed));
-    }
-  }
-  return out;
-}
-
 std::vector<std::vector<double>> SocketNetwork::correct_vector_outputs() const {
   std::vector<std::vector<double>> out;
   for (ProcessId p = 0; p < params_.n; ++p) {
@@ -637,11 +617,6 @@ bool SocketNetwork::is_local(ProcessId p) const {
 bool SocketNetwork::has_output(ProcessId p) const {
   APXA_ENSURE(p < params_.n, "process id out of range");
   return has_output_[p].load(std::memory_order_acquire);
-}
-
-double SocketNetwork::output_value(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return output_value_[p].load(std::memory_order_acquire);
 }
 
 double SocketNetwork::output_time(ProcessId p) const {

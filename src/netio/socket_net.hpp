@@ -131,14 +131,13 @@ class SocketNetwork final {
   /// correct parties completed.
   bool run(std::chrono::milliseconds timeout);
 
-  [[nodiscard]] std::vector<double> correct_outputs() const;
+  /// Decisions of the local correct parties (in id order) that have decided.
   [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
   [[nodiscard]] const net::Metrics& metrics() const { return metrics_; }
   [[nodiscard]] SystemParams params() const { return params_; }
   [[nodiscard]] bool is_correct(ProcessId p) const;
   [[nodiscard]] bool is_local(ProcessId p) const;
   [[nodiscard]] bool has_output(ProcessId p) const;
-  [[nodiscard]] double output_value(ProcessId p) const;
   /// Wall-clock seconds from run() start; +inf where no output.
   [[nodiscard]] double output_time(ProcessId p) const;
   /// True when every LOCAL correct party has produced an output.
@@ -215,8 +214,6 @@ class SocketNetwork final {
   std::vector<std::atomic<std::uint64_t>> unacked_now_;  // per local party
 
   std::vector<std::atomic<bool>> has_output_;
-  std::vector<std::atomic<bool>> has_scalar_;
-  std::vector<std::atomic<double>> output_value_;
   std::vector<std::vector<double>> output_vec_;
   std::vector<std::atomic<double>> output_time_;
   std::vector<std::atomic<bool>> done_;

@@ -6,98 +6,47 @@ namespace apxa::rb {
 
 using core::MsgType;
 
-// --- wire adapters ----------------------------------------------------------
+namespace {
 
-template <>
-struct RbWire<double> {
-  struct Decoded {
-    MsgType type;
-    std::uint32_t instance;
-    ProcessId origin;
-    double value;
-  };
-  static constexpr MsgType kSend = MsgType::kRbSend;
-  static constexpr MsgType kEcho = MsgType::kRbEcho;
-  static constexpr MsgType kReady = MsgType::kRbReady;
+Bytes encode(MsgType type, std::uint32_t instance, ProcessId origin,
+             const BrachaHub::Value& value) {
+  return core::encode_rb_vec(core::RbVecMsg{type, instance, origin, value});
+}
 
-  static Bytes encode(MsgType type, std::uint32_t instance, ProcessId origin,
-                      const double& value) {
-    return core::encode_rb(core::RbMsg{type, instance, origin, value});
-  }
-  static std::optional<Decoded> decode(BytesView payload) {
-    const auto m = core::decode_rb(payload);
-    if (!m) return std::nullopt;
-    return Decoded{m->type, m->instance, m->origin, m->value};
-  }
-};
+}  // namespace
 
-template <>
-struct RbWire<std::vector<double>> {
-  struct Decoded {
-    MsgType type;
-    std::uint32_t instance;
-    ProcessId origin;
-    std::vector<double> value;
-  };
-  static constexpr MsgType kSend = MsgType::kRbVecSend;
-  static constexpr MsgType kEcho = MsgType::kRbVecEcho;
-  static constexpr MsgType kReady = MsgType::kRbVecReady;
-
-  static Bytes encode(MsgType type, std::uint32_t instance, ProcessId origin,
-                      const std::vector<double>& value) {
-    return core::encode_rb_vec(core::RbVecMsg{type, instance, origin, value});
-  }
-  static std::optional<Decoded> decode(BytesView payload) {
-    auto m = core::decode_rb_vec(payload);
-    if (!m) return std::nullopt;
-    return Decoded{m->type, m->instance, m->origin, std::move(m->value)};
-  }
-};
-
-// --- hub --------------------------------------------------------------------
-
-template <class Value>
-BasicBrachaHub<Value>::BasicBrachaHub(SystemParams params, DeliverFn on_deliver)
+BrachaHub::BrachaHub(SystemParams params, DeliverFn on_deliver)
     : params_(params), deliver_(std::move(on_deliver)) {
   APXA_ENSURE(params_.n > 3 * params_.t, "Bracha RB requires n > 3t");
   APXA_ENSURE(deliver_ != nullptr, "delivery callback required");
 }
 
-template <class Value>
-void BasicBrachaHub<Value>::broadcast(net::Context& ctx, std::uint32_t instance,
-                                      const Value& value) {
+void BrachaHub::broadcast(net::Context& ctx, std::uint32_t instance,
+                          const Value& value) {
   const Key key{instance, ctx.self()};
-  ctx.multicast(RbWire<Value>::encode(RbWire<Value>::kSend, instance, ctx.self(),
-                                      value));
+  ctx.multicast(encode(MsgType::kRbVecSend, instance, ctx.self(), value));
   // Process our own SEND locally: echo it.
   send_echo(ctx, key, value);
 }
 
-template <class Value>
-void BasicBrachaHub<Value>::send_echo(net::Context& ctx, const Key& key,
-                                      const Value& value) {
+void BrachaHub::send_echo(net::Context& ctx, const Key& key, const Value& value) {
   Slot& s = slots_[key];
   if (s.echoed) return;
   s.echoed = true;
-  ctx.multicast(
-      RbWire<Value>::encode(RbWire<Value>::kEcho, key.first, key.second, value));
+  ctx.multicast(encode(MsgType::kRbVecEcho, key.first, key.second, value));
   add_echo(ctx, key, ctx.self(), value);
 }
 
-template <class Value>
-void BasicBrachaHub<Value>::send_ready(net::Context& ctx, const Key& key,
-                                       const Value& value) {
+void BrachaHub::send_ready(net::Context& ctx, const Key& key, const Value& value) {
   Slot& s = slots_[key];
   if (s.ready_sent) return;
   s.ready_sent = true;
-  ctx.multicast(
-      RbWire<Value>::encode(RbWire<Value>::kReady, key.first, key.second, value));
+  ctx.multicast(encode(MsgType::kRbVecReady, key.first, key.second, value));
   add_ready(ctx, key, ctx.self(), value);
 }
 
-template <class Value>
-void BasicBrachaHub<Value>::add_echo(net::Context& ctx, const Key& key,
-                                     ProcessId voter, const Value& value) {
+void BrachaHub::add_echo(net::Context& ctx, const Key& key, ProcessId voter,
+                         const Value& value) {
   Slot& s = slots_[key];
   // First vote per voter wins (see Slot::echo_voters): caps the state a
   // vote-flooding byzantine can create, and costs honest traffic nothing.
@@ -107,9 +56,8 @@ void BasicBrachaHub<Value>::add_echo(net::Context& ctx, const Key& key,
   if (voters.size() >= params_.quorum()) send_ready(ctx, key, value);
 }
 
-template <class Value>
-void BasicBrachaHub<Value>::add_ready(net::Context& ctx, const Key& key,
-                                      ProcessId voter, const Value& value) {
+void BrachaHub::add_ready(net::Context& ctx, const Key& key, ProcessId voter,
+                          const Value& value) {
   Slot& s = slots_[key];
   if (!s.ready_voters.insert(voter).second) return;
   auto& voters = s.readies[value];
@@ -121,29 +69,24 @@ void BasicBrachaHub<Value>::add_ready(net::Context& ctx, const Key& key,
   }
 }
 
-template <class Value>
-bool BasicBrachaHub<Value>::handle(net::Context& ctx, ProcessId from,
-                                   BytesView payload) {
-  auto m = RbWire<Value>::decode(payload);
+bool BrachaHub::handle(net::Context& ctx, ProcessId from, BytesView payload) {
+  const auto m = core::decode_rb_vec(payload);
   if (!m) return false;
   // Out-of-range origins are byzantine garbage, not a caller bug: discard
   // like every other malformed input (throwing here would let one forged
   // message crash every honest party).
   if (m->origin >= params_.n) return true;
   const Key key{m->instance, m->origin};
-  if (m->type == RbWire<Value>::kSend) {
+  if (m->type == MsgType::kRbVecSend) {
     // Authenticated channels: a SEND for origin o is only honored when it
     // arrives from o itself (byzantine parties cannot forge senders).
     if (from == m->origin) send_echo(ctx, key, m->value);
-  } else if (m->type == RbWire<Value>::kEcho) {
+  } else if (m->type == MsgType::kRbVecEcho) {
     add_echo(ctx, key, from, m->value);
   } else {
     add_ready(ctx, key, from, m->value);
   }
   return true;
 }
-
-template class BasicBrachaHub<double>;
-template class BasicBrachaHub<std::vector<double>>;
 
 }  // namespace apxa::rb

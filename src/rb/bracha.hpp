@@ -1,11 +1,11 @@
 // Bracha's asynchronous reliable broadcast (Information & Computation 1987),
-// multiplexed over (instance, origin) pairs and generic over the value
-// carried: the scalar hub (BrachaHub, payload `double`, wire tags
-// kRbSend/kRbEcho/kRbReady) transports the AAD'04 witness protocol
-// (witness/aad04.hpp); the vector hub (VecBrachaHub, payload
-// `std::vector<double>`, wire tags kRbVecSend/kRbVecEcho/kRbVecReady)
-// transports the equalized collect layer of the convex protocol
-// (core/collect.hpp, ProtocolKind::kVectorConvexRB).
+// multiplexed over (instance, origin) pairs.  The payload is a point in R^d
+// (scalar protocols broadcast 1-point payloads) on the RBVEC wire, tags
+// kRbVecSend/kRbVecEcho/kRbVecReady.  The hub is the transport of the
+// equalized collect layer (core/collect.hpp), which runs the AAD'04 witness
+// protocol (ProtocolKind::kWitness, d = 1) and the convex protocol
+// (ProtocolKind::kVectorConvexRB).  Scalar RB frames (tags 3-5) are not
+// this hub's wire: handle() leaves them unconsumed.
 //
 // Preconditions (checked in the constructor):
 //   - n > 3t — below this bound two ECHO quorums need not intersect in a
@@ -48,8 +48,8 @@
 // The hub is a component embedded in a Process: the owner feeds every
 // incoming payload to handle(), which returns true when it consumed an RB
 // message.  Own ECHO/READY votes are counted locally without self-messages.
-// Cost per broadcast: O(n^2) messages — the reason the witness technique
-// and the equalized collect layer cost Theta(n^3) per iteration.
+// Cost per broadcast: O(n^2) messages — the reason the equalized collect
+// layer (and with it the witness technique) costs Theta(n^3) per round.
 #pragma once
 
 #include <cstdint>
@@ -64,19 +64,12 @@
 
 namespace apxa::rb {
 
-/// Wire adapter: how a hub's value type is encoded as SEND/ECHO/READY
-/// messages.  Specialized for double (RbMsg, tags 3-5) and
-/// std::vector<double> (RbVecMsg, tags 8-10) in bracha.cpp; the two tag
-/// ranges are disjoint, so a scalar and a vector hub never consume each
-/// other's traffic.
-template <class Value>
-struct RbWire;
-
-/// Bracha RB hub carrying `Value` payloads.  Value must be totally ordered
-/// (operator<) so votes can be tallied per distinct value.
-template <class Value>
-class BasicBrachaHub {
+/// Bracha RB hub carrying R^d points.  Votes are tallied per distinct point
+/// (std::vector's lexicographic operator<).
+class BrachaHub {
  public:
+  using Value = std::vector<double>;
+
   /// Called exactly once per (instance, origin) on delivery — the
   /// `delivered` latch below enforces the at-most-once half, the READY
   /// quorum the at-least half.
@@ -84,16 +77,16 @@ class BasicBrachaHub {
                                        ProcessId origin, const Value& value)>;
 
   /// Requires params.n > 3t and a non-null callback (throws otherwise).
-  BasicBrachaHub(SystemParams params, DeliverFn on_deliver);
+  BrachaHub(SystemParams params, DeliverFn on_deliver);
 
   /// Reliably broadcast `value` under `instance` (the caller is the origin).
   /// Multicasts SEND and processes the local copy immediately (own ECHO).
   void broadcast(net::Context& ctx, std::uint32_t instance, const Value& value);
 
-  /// Feed an incoming payload; returns true if it was an RB message of this
-  /// hub's wire format.  MUST keep being called for the lifetime of the
-  /// party — even after the owning protocol has output — or laggards lose
-  /// the echoes/readies totality depends on.
+  /// Feed an incoming payload; returns true if it was an RBVEC message.
+  /// MUST keep being called for the lifetime of the party — even after the
+  /// owning protocol has decided — or laggards lose the echoes/readies
+  /// totality depends on.
   bool handle(net::Context& ctx, ProcessId from, BytesView payload);
 
   /// Number of (instance, origin) slots with state (diagnostics).
@@ -127,12 +120,5 @@ class BasicBrachaHub {
   DeliverFn deliver_;
   std::map<Key, Slot> slots_;
 };
-
-/// Scalar hub: the transport of the AAD'04 witness protocol.
-using BrachaHub = BasicBrachaHub<double>;
-
-/// Vector hub: the transport of the equalized collect layer
-/// (core/collect.hpp) under ProtocolKind::kVectorConvexRB.
-using VecBrachaHub = BasicBrachaHub<std::vector<double>>;
 
 }  // namespace apxa::rb

@@ -53,8 +53,6 @@ ThreadNetwork::ThreadNetwork(SystemParams params)
       send_limit_(params.n, kNoLimit),
       multicast_order_(params.n),
       has_output_(params.n),
-      has_scalar_(params.n),
-      output_value_(params.n),
       output_vec_(params.n),
       output_time_(params.n),
       done_(params.n) {
@@ -70,8 +68,6 @@ ThreadNetwork::ThreadNetwork(SystemParams params)
     crashed_[i] = false;
     sends_made_[i] = 0;
     has_output_[i] = false;
-    has_scalar_[i] = false;
-    output_value_[i] = 0.0;
     output_time_[i] = kInf;
     done_[i] = false;
   }
@@ -264,10 +260,6 @@ void ThreadNetwork::publish(ProcessId p) {
       if (auto vy = procs_[p]->vector_output()) {
         output_vec_[p] = std::move(*vy);
       }
-      if (const auto y = procs_[p]->output()) {
-        output_value_[p].store(*y, std::memory_order_relaxed);
-        has_scalar_[p].store(true, std::memory_order_relaxed);
-      }
       output_time_[p].store(since.count(), std::memory_order_release);
       has_output_[p].store(true, std::memory_order_release);
     }
@@ -455,18 +447,6 @@ bool ThreadNetwork::run(std::chrono::milliseconds timeout) {
   return done;
 }
 
-std::vector<double> ThreadNetwork::correct_outputs() const {
-  std::vector<double> out;
-  for (ProcessId p = 0; p < params_.n; ++p) {
-    if (!is_correct(p)) continue;
-    if (has_output_[p].load(std::memory_order_acquire) &&
-        has_scalar_[p].load(std::memory_order_relaxed)) {
-      out.push_back(output_value_[p].load(std::memory_order_relaxed));
-    }
-  }
-  return out;
-}
-
 std::vector<std::vector<double>> ThreadNetwork::correct_vector_outputs() const {
   std::vector<std::vector<double>> out;
   for (ProcessId p = 0; p < params_.n; ++p) {
@@ -486,11 +466,6 @@ bool ThreadNetwork::is_correct(ProcessId p) const {
 bool ThreadNetwork::has_output(ProcessId p) const {
   APXA_ENSURE(p < params_.n, "process id out of range");
   return has_output_[p].load(std::memory_order_acquire);
-}
-
-double ThreadNetwork::output_value(ProcessId p) const {
-  APXA_ENSURE(p < params_.n, "process id out of range");
-  return output_value_[p].load(std::memory_order_acquire);
 }
 
 double ThreadNetwork::output_time(ProcessId p) const {

@@ -123,10 +123,8 @@ class ThreadNetwork final {
   /// true when all correct parties completed.
   bool run(std::chrono::milliseconds timeout);
 
-  /// Outputs of the correct parties (in id order) that have output.
-  [[nodiscard]] std::vector<double> correct_outputs() const;
-  /// Vector outputs of the correct parties (in id order) that have decided;
-  /// scalar protocols appear as 1-vectors (net::Process adapts).
+  /// Decisions of the correct parties (in id order) that have decided;
+  /// scalar protocols decide 1-points.
   [[nodiscard]] std::vector<std::vector<double>> correct_vector_outputs() const;
   [[nodiscard]] const net::Metrics& metrics() const { return metrics_; }
   [[nodiscard]] SystemParams params() const { return params_; }
@@ -136,7 +134,6 @@ class ThreadNetwork final {
   /// True when `p` neither crashed nor was marked byzantine.
   [[nodiscard]] bool is_correct(ProcessId p) const;
   [[nodiscard]] bool has_output(ProcessId p) const;
-  [[nodiscard]] double output_value(ProcessId p) const;
   /// Wall-clock seconds from run() start to the output's appearance; +inf
   /// where no output.
   [[nodiscard]] double output_time(ProcessId p) const;
@@ -211,12 +208,10 @@ class ThreadNetwork final {
   std::vector<std::vector<std::vector<Bytes>>> batch_buf_;  // [from][to]
   // Output/completion mirrors: each owner thread publishes its parties'
   // state here so the coordinator can poll without racing on Process state.
-  // output_vec_[p] and has_scalar_[p] are written once by p's owner before
-  // the has_output_[p] release-store and never mutated afterwards, so readers
-  // that acquire-load the flag need no further synchronization.
+  // output_vec_[p] is written once by p's owner before the has_output_[p]
+  // release-store and never mutated afterwards, so readers that acquire-load
+  // the flag need no further synchronization.
   std::vector<std::atomic<bool>> has_output_;
-  std::vector<std::atomic<bool>> has_scalar_;
-  std::vector<std::atomic<double>> output_value_;
   std::vector<std::vector<double>> output_vec_;
   std::vector<std::atomic<double>> output_time_;   // seconds; +inf if none
   std::vector<std::atomic<bool>> done_;

@@ -1,10 +1,13 @@
 // Bracha reliable broadcast: validity, agreement, totality, equivocation
-// resistance, multi-instance multiplexing, and message complexity.
+// resistance, multi-instance multiplexing, and message complexity.  The
+// Bracha.* cases broadcast 1-point payloads (how scalar protocols use the
+// hub), the VecBracha.* cases R^d points.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "core/codec.hpp"
 #include "net/sim.hpp"
@@ -14,19 +17,20 @@
 namespace apxa::rb {
 namespace {
 
-/// Harness process: runs a BrachaHub, optionally broadcasting values at
-/// start; records every delivery.
+/// Harness process: runs a BrachaHub, optionally broadcasting 1-point
+/// values at start; records every delivery.
 class RbParty final : public net::Process {
  public:
   RbParty(SystemParams params, std::map<std::uint32_t, double> to_broadcast)
       : to_broadcast_(std::move(to_broadcast)),
         hub_(params, [this](net::Context&, std::uint32_t inst, ProcessId origin,
-                            double value) {
-          delivered_[{inst, origin}] = value;
+                            const std::vector<double>& value) {
+          EXPECT_EQ(value.size(), 1u);
+          delivered_[{inst, origin}] = value.at(0);
         }) {}
 
   void on_start(net::Context& ctx) override {
-    for (const auto& [inst, v] : to_broadcast_) hub_.broadcast(ctx, inst, v);
+    for (const auto& [inst, v] : to_broadcast_) hub_.broadcast(ctx, inst, {v});
   }
 
   void on_message(net::Context& ctx, ProcessId from, BytesView payload) override {
@@ -47,8 +51,8 @@ class RbEquivocator final : public net::Process {
     for (ProcessId to = 0; to < n; ++to) {
       if (to == ctx.self()) continue;
       const double v = to < n / 2 ? 0.0 : 1.0;
-      ctx.send(to, core::encode_rb(core::RbMsg{core::MsgType::kRbSend, 0,
-                                               ctx.self(), v}));
+      ctx.send(to, core::encode_rb_vec(core::RbVecMsg{core::MsgType::kRbVecSend,
+                                                      0, ctx.self(), {v}}));
     }
   }
   void on_message(net::Context&, ProcessId, BytesView) override {}
@@ -199,9 +203,10 @@ TEST(Bracha, OneEchoVotePerVoterPerSlot) {
   } ctx;
   int deliveries = 0;
   BrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
-                            const double&) { ++deliveries; });
+                            const std::vector<double>&) { ++deliveries; });
   auto echo = [](ProcessId, double v) {
-    return core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, 0, 2, v});
+    return core::encode_rb_vec(
+        core::RbVecMsg{core::MsgType::kRbVecEcho, 0, 2, {v}});
   };
   hub.handle(ctx, 1, echo(1, 1.0));  // A from 1
   hub.handle(ctx, 2, echo(2, 1.0));  // A from 2: A has 2 < 3 votes
@@ -224,9 +229,9 @@ TEST(Bracha, OutOfRangeOriginDiscardedNotFatal) {
   } ctx;
   int deliveries = 0;
   BrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
-                            const double&) { ++deliveries; });
-  const Bytes forged =
-      core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, 0, /*origin=*/9, 1.0});
+                            const std::vector<double>&) { ++deliveries; });
+  const Bytes forged = core::encode_rb_vec(
+      core::RbVecMsg{core::MsgType::kRbVecEcho, 0, /*origin=*/9, {1.0}});
   EXPECT_TRUE(hub.handle(ctx, 1, forged));  // consumed: it IS an RB message
   EXPECT_EQ(hub.live_slots(), 0u);          // ...but created no state
   EXPECT_EQ(deliveries, 0);
@@ -234,13 +239,14 @@ TEST(Bracha, OutOfRangeOriginDiscardedNotFatal) {
 
 TEST(Bracha, RequiresNGreaterThan3T) {
   const SystemParams bad{6, 2};
-  EXPECT_THROW(BrachaHub(bad, [](net::Context&, std::uint32_t, ProcessId, double) {}),
+  EXPECT_THROW(BrachaHub(bad, [](net::Context&, std::uint32_t, ProcessId,
+                                 const std::vector<double>&) {}),
                std::invalid_argument);
 }
 
-// --- vector hub (rb::VecBrachaHub, the equalized-collect transport) ---------
+// --- R^d payloads (the equalized-collect transport) -------------------------
 
-/// Vector analogue of RbParty: broadcasts R^d points, records deliveries.
+/// R^d analogue of RbParty: broadcasts points, records every delivery.
 class VecRbParty final : public net::Process {
  public:
   VecRbParty(SystemParams params, std::map<std::uint32_t, std::vector<double>> bc)
@@ -261,7 +267,7 @@ class VecRbParty final : public net::Process {
   /// All deliveries per (instance, origin) — uniqueness says size <= 1.
   std::map<std::pair<std::uint32_t, ProcessId>, std::vector<std::vector<double>>>
       delivered_;
-  VecBrachaHub hub_;
+  BrachaHub hub_;
 };
 
 TEST(VecBracha, ValidityFaultFree) {
@@ -327,19 +333,9 @@ TEST(VecBracha, EquivocationDeliversAtMostOneValuePerOrigin) {
   }
 }
 
-TEST(VecBracha, ScalarAndVectorHubsIgnoreEachOthersWire) {
-  // Tag ranges are disjoint: a scalar hub must not consume RBVEC traffic and
-  // vice versa — the two can safely coexist in one process.
-  int calls = 0;
-  BrachaHub scalar({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
-                               const double&) { ++calls; });
-  VecBrachaHub vec({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
-                               const std::vector<double>&) { ++calls; });
-  const Bytes svec = core::encode_rb_vec(
-      core::RbVecMsg{core::MsgType::kRbVecEcho, 0, 1, {1.0, 2.0}});
-  const Bytes sscalar =
-      core::encode_rb(core::RbMsg{core::MsgType::kRbEcho, 0, 1, 1.0});
-  // Rejection happens at decode, before any send reaches the context.
+TEST(VecBracha, IgnoresScalarRbFrames) {
+  // The hub speaks RBVEC only: scalar RB frames (tags 3-5) are left
+  // unconsumed, trigger no sends and create no state.
   class NoopContext final : public net::Context {
    public:
     void send(ProcessId, Bytes) override { FAIL() << "unexpected send"; }
@@ -347,8 +343,17 @@ TEST(VecBracha, ScalarAndVectorHubsIgnoreEachOthersWire) {
     [[nodiscard]] ProcessId self() const override { return 0; }
     [[nodiscard]] SystemParams params() const override { return {4, 1}; }
   } ctx;
-  EXPECT_FALSE(scalar.handle(ctx, 1, svec));
-  EXPECT_FALSE(vec.handle(ctx, 1, sscalar));
+  int calls = 0;
+  BrachaHub hub({4, 1}, [&](net::Context&, std::uint32_t, ProcessId,
+                            const std::vector<double>&) { ++calls; });
+  for (const auto type :
+       {core::MsgType::kRbSend, core::MsgType::kRbEcho, core::MsgType::kRbReady}) {
+    for (ProcessId from = 1; from < 4; ++from) {
+      EXPECT_FALSE(hub.handle(ctx, from, core::encode_rb(core::RbMsg{
+                                             type, 0, /*origin=*/1, 1.0})));
+    }
+  }
+  EXPECT_EQ(hub.live_slots(), 0u);
   EXPECT_EQ(calls, 0);
 }
 
@@ -360,8 +365,8 @@ TEST(Bracha, ForgedSendIgnored) {
     void on_start(net::Context& ctx) override {
       for (ProcessId to = 0; to < ctx.params().n; ++to) {
         if (to == ctx.self()) continue;
-        ctx.send(to, core::encode_rb(core::RbMsg{core::MsgType::kRbSend, 0,
-                                                 /*origin=*/0, 666.0}));
+        ctx.send(to, core::encode_rb_vec(core::RbVecMsg{
+                         core::MsgType::kRbVecSend, 0, /*origin=*/0, {666.0}}));
       }
     }
     void on_message(net::Context&, ProcessId, BytesView) override {}

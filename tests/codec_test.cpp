@@ -4,7 +4,6 @@
 #include <algorithm>
 
 #include "core/codec.hpp"
-#include "core/multidim.hpp"  // decode_vec_round (wire tag 7)
 #include "net/envelope.hpp"
 
 namespace apxa::core {
@@ -319,14 +318,43 @@ TEST(Envelope, UnpackPacketSplitsBatchesOnly) {
   }
 }
 
-TEST(Codec, ProbeDecodesRoundOnly) {
-  const auto probe = round_probe();
-  const auto hit = probe(encode_round(RoundMsg{5, 1.5, 0}));
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->round, 5u);
-  EXPECT_EQ(hit->value, 1.5);
+TEST(Codec, ValueProbeCoversEveryFrameKind) {
+  // Value-aware schedulers see (round, first coordinate) of every frame that
+  // carries a protocol value, whichever collect layer sent it.
+  const auto probe = value_probe();
+  const auto expect_hit = [&probe](const Bytes& frame, Round round, double value) {
+    const auto hit = probe(frame);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->round, round);
+    EXPECT_EQ(hit->value, value);
+  };
+  expect_hit(encode_round(RoundMsg{5, 1.5, 0}), 5, 1.5);
+  expect_hit(encode_vec_round(6, {-2.5, 9.0}), 6, -2.5);
+  for (MsgType t :
+       {MsgType::kRbVecSend, MsgType::kRbVecEcho, MsgType::kRbVecReady}) {
+    expect_hit(encode_rb_vec(RbVecMsg{t, 7, 2, {0.25}}), 7, 0.25);
+  }
+
+  EXPECT_FALSE(probe(encode_report(ReportMsg{5, {true, true, false}})).has_value());
   EXPECT_FALSE(probe(encode_done(DoneMsg{5, 1.5})).has_value());
-  EXPECT_FALSE(probe(encode_rb(RbMsg{MsgType::kRbSend, 1, 2, 3.0})).has_value());
+  for (MsgType t : {MsgType::kRbSend, MsgType::kRbEcho, MsgType::kRbReady}) {
+    EXPECT_FALSE(probe(encode_rb(RbMsg{t, 1, 2, 3.0})).has_value());
+  }
+  EXPECT_FALSE(probe(Bytes{}).has_value());
+  EXPECT_FALSE(probe(Bytes{std::byte{7}, std::byte{1}}).has_value());
+  EXPECT_FALSE(probe(Bytes{std::byte{200}, std::byte{1}, std::byte{2}}).has_value());
+}
+
+TEST(Codec, VecRoundRejectsZeroDim) {
+  // Like decode_rb_vec: a point has at least one coordinate.
+  EXPECT_FALSE(decode_vec_round(encode_vec_round(3, {})).has_value());
+  // A forged frame claiming dim 65536 with no coordinates behind it is
+  // rejected on its length, before any allocation of the claimed size.
+  ByteWriter w;
+  w.put_u8(static_cast<std::uint8_t>(MsgType::kVecRound));
+  w.put_varint(0);
+  w.put_varint(1u << 16);
+  EXPECT_FALSE(decode_vec_round(std::move(w).take()).has_value());
 }
 
 }  // namespace

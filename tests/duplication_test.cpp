@@ -8,12 +8,13 @@
 
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
+#include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "rb/bracha.hpp"
+#include "scalar_outputs.hpp"
 #include "sched/fifo_scheduler.hpp"
 #include "sched/random_scheduler.hpp"
-#include "witness/aad04.hpp"
 
 namespace apxa {
 namespace {
@@ -49,7 +50,7 @@ TEST(Duplication, CrashProtocolSafetyUnchanged) {
     net.start();
     net.run_until([&net] { return net.all_correct_output(); });
     ASSERT_TRUE(net.all_correct_output());
-    const auto outs = net.correct_outputs();
+    const auto outs = scalar_outputs(net.correct_vector_outputs());
     std::vector<double> sorted = outs;
     std::sort(sorted.begin(), sorted.end());
     EXPECT_LE(sorted.back() - sorted.front(), 1e-3 + 1e-12);
@@ -72,7 +73,7 @@ TEST(Duplication, OutputsIdenticalToDedupedRun) {
     }
     net.start();
     net.run_until([&net] { return net.all_correct_output(); });
-    return net.correct_outputs();
+    return net.correct_vector_outputs();
   };
   // Under the constant-delay FIFO schedule the duplicate arrives together
   // with the original and is dropped by the dedupe logic: identical outputs.
@@ -82,16 +83,15 @@ TEST(Duplication, OutputsIdenticalToDedupedRun) {
 TEST(Duplication, BrachaDeliversExactlyOnce) {
   const SystemParams p{4, 1};
 
-  /// Minimal RB harness counting deliveries.
+  /// Minimal RB harness counting deliveries of a 1-point broadcast.
   class Party final : public net::Process {
    public:
     explicit Party(SystemParams params, bool is_origin)
         : is_origin_(is_origin),
-          hub_(params, [this](net::Context&, std::uint32_t, ProcessId, double) {
-            ++deliveries_;
-          }) {}
+          hub_(params, [this](net::Context&, std::uint32_t, ProcessId,
+                              const std::vector<double>&) { ++deliveries_; }) {}
     void on_start(net::Context& ctx) override {
-      if (is_origin_) hub_.broadcast(ctx, 0, 3.25);
+      if (is_origin_) hub_.broadcast(ctx, 0, {3.25});
     }
     void on_message(net::Context& ctx, ProcessId from, BytesView payload) override {
       hub_.handle(ctx, from, payload);
@@ -115,25 +115,23 @@ TEST(Duplication, BrachaDeliversExactlyOnce) {
 }
 
 TEST(Duplication, WitnessProtocolUnaffected) {
-  RunConfig cfg;  // driver has no duplication knob; use the network directly
-  const SystemParams p{7, 2};
-  net::SimNetwork net(p, std::make_unique<sched::RandomScheduler>(21));
+  // The harness has no duplication knob: stage the harness-built processes
+  // on the network directly.
+  RunConfig cfg;
+  cfg.params = {7, 2};
+  cfg.protocol = ProtocolKind::kWitness;
+  cfg.inputs = linear_inputs(7, 0.0, 1.0);
+  cfg.fixed_rounds = 8;
+  net::SimNetwork net(cfg.params, std::make_unique<sched::RandomScheduler>(21));
   net.enable_duplication(0.5, 17);
-  for (ProcessId i = 0; i < 7; ++i) {
-    witness::WitnessConfig wc;
-    wc.params = p;
-    wc.input = static_cast<double>(i) / 6.0;
-    wc.iterations = 8;
-    net.add_process(std::make_unique<witness::WitnessAaProcess>(wc));
-  }
+  for (auto& proc : build_processes(cfg, {})) net.add_process(std::move(proc));
   net.start();
   net.run_until([&net] { return net.all_correct_output(); });
   ASSERT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   std::vector<double> sorted = outs;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_LE(sorted.back() - sorted.front(), 1.0 / 256.0 + 1e-12);
-  (void)cfg;
 }
 
 TEST(Duplication, ValidatesProbability) {

@@ -13,6 +13,7 @@
 #include "core/round_engine.hpp"
 #include "harness/harness.hpp"
 #include "net/sim.hpp"
+#include "scalar_outputs.hpp"
 #include "sched/random_scheduler.hpp"
 
 namespace apxa {
@@ -107,7 +108,7 @@ TEST(GarbageInjection, CrashProtocolUnaffected) {
   net.start();
   net.run_until([&net] { return net.all_correct_output(); });
   EXPECT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
     EXPECT_LE(y, 5.0);
@@ -184,7 +185,7 @@ TEST(TimedCrash, MidRunCrashStillConverges) {
   net.start();
   net.run_until([&net] { return net.all_correct_output(); });
   EXPECT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   EXPECT_EQ(outs.size(), 5u);
   std::vector<double> sorted = outs;
   std::sort(sorted.begin(), sorted.end());

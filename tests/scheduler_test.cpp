@@ -51,7 +51,7 @@ TEST(FifoScheduler, ConstantDelay) {
 }
 
 TEST(GreedySplit, LowCampReceivesLowValuesFirst) {
-  GreedySplitScheduler s(core::round_probe(), 8);
+  GreedySplitScheduler s(core::value_probe(), 8);
   // Warm the range estimate.
   (void)s.delay(round_msg(0, 1, 0, 0.0));
   (void)s.delay(round_msg(1, 2, 0, 1.0));
@@ -68,7 +68,7 @@ TEST(GreedySplit, LowCampReceivesLowValuesFirst) {
 }
 
 TEST(GreedySplit, NonValueTrafficNeutral) {
-  GreedySplitScheduler s(core::round_probe(), 8);
+  GreedySplitScheduler s(core::value_probe(), 8);
   net::Message m;
   m.from = 0;
   m.to = 1;
@@ -77,7 +77,7 @@ TEST(GreedySplit, NonValueTrafficNeutral) {
 }
 
 TEST(GreedySplit, DelaysAlwaysLegal) {
-  GreedySplitScheduler s(core::round_probe(), 6);
+  GreedySplitScheduler s(core::value_probe(), 6);
   for (double v : {-100.0, 0.0, 3.0, 1e9}) {
     for (ProcessId to = 0; to < 6; ++to) {
       const double d = s.delay(round_msg(5, to, 1, v));

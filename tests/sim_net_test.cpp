@@ -33,7 +33,11 @@ class EchoProcess final : public Process {
     if (heard_ >= ctx.params().n - 1) out_ = static_cast<double>(heard_);
   }
 
-  [[nodiscard]] std::optional<double> output() const override { return out_; }
+  [[nodiscard]] bool has_output() const override { return out_.has_value(); }
+  [[nodiscard]] std::optional<std::vector<double>> vector_output() const override {
+    if (!out_) return std::nullopt;
+    return std::vector<double>{*out_};
+  }
 
   std::uint32_t heard_ = 0;
   std::optional<double> out_;
@@ -59,7 +63,7 @@ TEST(SimNetwork, AllToAllDelivery) {
 TEST(SimNetwork, DeterministicReplay) {
   struct Outcome {
     double now;
-    std::vector<double> outputs;
+    std::vector<std::vector<double>> outputs;
     std::uint64_t delivered;
   };
   auto run_once = [](std::uint64_t seed, bool duplicate) {
@@ -67,7 +71,7 @@ TEST(SimNetwork, DeterministicReplay) {
     if (duplicate) net.enable_duplication(0.5, seed + 1000);
     net.start();
     net.run();
-    return Outcome{net.now(), net.correct_outputs(),
+    return Outcome{net.now(), net.correct_vector_outputs(),
                    net.metrics().messages_delivered};
   };
   for (const bool duplicate : {false, true}) {
@@ -192,7 +196,7 @@ TEST(SimNetwork, ByzantineMarkExcludedFromCorrect) {
   net.run();
   EXPECT_EQ(net.status(3), PartyStatus::kByzantine);
   EXPECT_FALSE(net.is_correct(3));
-  EXPECT_EQ(net.correct_outputs().size(), 3u);
+  EXPECT_EQ(net.correct_vector_outputs().size(), 3u);
 }
 
 TEST(SimNetwork, OutputTimeRecorded) {

@@ -406,8 +406,8 @@ TEST(SimReplay, RunUntilDoneIsRunUntilOverCorrectOutputs) {
 
   EXPECT_EQ(by_done->status(2), net::PartyStatus::kCrashed);
   EXPECT_EQ(by_done->now(), by_pred->now());
-  EXPECT_EQ(by_done->correct_outputs(), by_pred->correct_outputs());
-  EXPECT_EQ(by_done->correct_outputs().size(), p.n - 1);
+  EXPECT_EQ(by_done->correct_vector_outputs(), by_pred->correct_vector_outputs());
+  EXPECT_EQ(by_done->correct_vector_outputs().size(), p.n - 1);
   expect_metrics_eq(by_done->metrics(), by_pred->metrics());
 }
 

@@ -29,6 +29,7 @@
 #include "netio/socket_net.hpp"
 #include "netio/udp.hpp"
 #include "obs/trace.hpp"
+#include "scalar_outputs.hpp"
 
 namespace apxa {
 namespace {
@@ -320,7 +321,7 @@ TEST(SocketNet, CleanRunConvergesWithExactLogicalCounts) {
   add_crash_aa_parties(net);
   ASSERT_TRUE(net.run(30'000ms));
   EXPECT_TRUE(net.all_correct_output());
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), kP.n);
   for (double v : outs) {
     EXPECT_GE(v, 0.0);
@@ -377,8 +378,7 @@ TEST(SocketNet, CrashAfterSendsCountsLogicalSends) {
   ASSERT_TRUE(net.run(30'000ms));
   EXPECT_FALSE(net.is_correct(4));
   EXPECT_EQ(net.metrics().sent_by[4], 4u);
-  const auto outs = net.correct_outputs();
-  EXPECT_EQ(outs.size(), kP.n - 1);
+  EXPECT_EQ(net.correct_vector_outputs().size(), kP.n - 1);
 }
 
 TEST(SocketNet, LinkStateSnapshotCoversEveryLocalParty) {

@@ -8,6 +8,7 @@
 #include "core/bounds.hpp"
 #include "core/multiset_ops.hpp"
 #include "runtime/thread_net.hpp"
+#include "scalar_outputs.hpp"
 
 namespace apxa::rt {
 namespace {
@@ -26,7 +27,7 @@ TEST(ThreadNet, CrashAaConvergesFaultFree) {
         core::crash_aa_config(p, inputs[i], rounds)));
   }
   ASSERT_TRUE(net.run(10s));
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), p.n);
   const auto [mn, mx] = std::minmax_element(outs.begin(), outs.end());
   EXPECT_LE(*mx - *mn, eps);
@@ -44,7 +45,7 @@ TEST(ThreadNet, SurvivesCrashedParty) {
   }
   net.crash(4);  // crashed before start: silent the whole run
   ASSERT_TRUE(net.run(10s));
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   EXPECT_EQ(outs.size(), 4u);
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
@@ -60,7 +61,7 @@ TEST(ThreadNet, AdaptiveModeTerminates) {
         core::crash_aa_adaptive_config(p, static_cast<double>(i) * 3.0, 1e-2)));
   }
   ASSERT_TRUE(net.run(20s));
-  EXPECT_EQ(net.correct_outputs().size(), p.n);
+  EXPECT_EQ(net.correct_vector_outputs().size(), p.n);
 }
 
 TEST(ThreadNet, MetricsAccumulate) {
@@ -85,7 +86,7 @@ TEST(ThreadNet, RepeatedRunsAreIndependent) {
           core::crash_aa_config(p, 1.0, 2)));
     }
     ASSERT_TRUE(net.run(10s));
-    for (double y : net.correct_outputs()) EXPECT_EQ(y, 1.0);
+    for (const auto& y : net.correct_vector_outputs()) EXPECT_EQ(y[0], 1.0);
   }
 }
 
@@ -112,7 +113,7 @@ TEST(ThreadNet, CrashAfterSendsStopsMidMulticast) {
   net.crash_after_sends(4, 2);
   ASSERT_TRUE(net.run(20s));
   EXPECT_FALSE(net.is_correct(4));
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), 4u);
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
@@ -141,7 +142,7 @@ TEST(ThreadNet, CrashExactlyAtSendBudgetStopsReceiving) {
   // Crashed right after its final-round multicast, before receiving the
   // final-round quorum: it must not produce an output.
   EXPECT_FALSE(net.has_output(4));
-  EXPECT_EQ(net.correct_outputs().size(), 4u);
+  EXPECT_EQ(net.correct_vector_outputs().size(), 4u);
 }
 
 TEST(ThreadNet, CrashAfterSendsCountsLogicalSendsUnderBatching) {
@@ -161,7 +162,7 @@ TEST(ThreadNet, CrashAfterSendsCountsLogicalSendsUnderBatching) {
   net.crash_after_sends(4, 2);
   ASSERT_TRUE(net.run(20s));
   EXPECT_FALSE(net.is_correct(4));
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), 4u);
   for (double y : outs) {
     EXPECT_GE(y, 0.0);
@@ -185,7 +186,7 @@ TEST(ThreadNet, BatchingPreservesResultAndLogicalCounts) {
     }
     if (batch > 0) net.enable_batching(batch);
     EXPECT_TRUE(net.run(10s));
-    EXPECT_EQ(net.correct_outputs().size(), p.n);
+    EXPECT_EQ(net.correct_vector_outputs().size(), p.n);
     return net.metrics();
   };
   const auto plain = run_once(0);
@@ -209,7 +210,7 @@ TEST(ThreadNet, ShardedDeliveryConvergesWithFewShards) {
         core::crash_aa_config(p, inputs[i], 5)));
   }
   ASSERT_TRUE(net.run(20s));
-  EXPECT_EQ(net.correct_outputs().size(), p.n);
+  EXPECT_EQ(net.correct_vector_outputs().size(), p.n);
 }
 
 TEST(ThreadNet, CrashAfterZeroSendsIsStartupCrash) {
@@ -221,7 +222,7 @@ TEST(ThreadNet, CrashAfterZeroSendsIsStartupCrash) {
   }
   net.crash_after_sends(0, 0);
   ASSERT_TRUE(net.run(20s));
-  EXPECT_EQ(net.correct_outputs().size(), 4u);
+  EXPECT_EQ(net.correct_vector_outputs().size(), 4u);
   // A startup-crashed party never sends.
   EXPECT_EQ(net.metrics().sent_by[0], 0u);
 }
@@ -249,7 +250,7 @@ TEST(ThreadNet, ByzantinePartyExcludedFromCompletionWait) {
   // not wait for its (never-appearing) output either.
   ASSERT_TRUE(net.run(20s));
   EXPECT_FALSE(net.is_correct(3));
-  EXPECT_EQ(net.correct_outputs().size(), 3u);
+  EXPECT_EQ(net.correct_vector_outputs().size(), 3u);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "runtime/thread_net.hpp"
+#include "scalar_outputs.hpp"
 
 namespace apxa::rt {
 namespace {
@@ -163,7 +164,7 @@ TEST(ThreadSteal, CrashBudgetExactUnderStealing) {
     net.crash_after_sends(4, 2);
     ASSERT_TRUE(net.run(30s));
     EXPECT_FALSE(net.is_correct(4));
-    const auto outs = net.correct_outputs();
+    const auto outs = scalar_outputs(net.correct_vector_outputs());
     ASSERT_EQ(outs.size(), 4u);
     for (double y : outs) {
       EXPECT_GE(y, 0.0);
@@ -185,7 +186,7 @@ TEST(ThreadSteal, ConvergesWithSingleWorker) {
         core::crash_aa_config(p, static_cast<double>(i), rounds)));
   }
   ASSERT_TRUE(net.run(30s));
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), p.n);
   for (std::size_t i = 1; i < outs.size(); ++i) {
     EXPECT_LE(std::abs(outs[i] - outs[0]), eps);

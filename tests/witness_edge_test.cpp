@@ -1,6 +1,7 @@
 // Witness-protocol edge cases: malformed/undersized reports, laggards fed by
 // buffered future-iteration traffic, RB hub state growth, determinism, and
-// the protocol running on real threads.
+// the protocol running on real threads.  The processes are the ones the
+// harness stages for ProtocolKind::kWitness (harness::build_processes).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -8,18 +9,29 @@
 
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
+#include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "runtime/thread_net.hpp"
+#include "scalar_outputs.hpp"
 #include "sched/clique_scheduler.hpp"
 #include "sched/random_scheduler.hpp"
-#include "witness/aad04.hpp"
 
 namespace apxa {
 namespace {
 
 using namespace core;
 using namespace harness;
+
+RunConfig witness_config(SystemParams p, std::vector<double> inputs,
+                         Round iterations) {
+  RunConfig cfg;
+  cfg.params = p;
+  cfg.protocol = ProtocolKind::kWitness;
+  cfg.inputs = std::move(inputs);
+  cfg.fixed_rounds = iterations;
+  return cfg;
+}
 
 /// Byzantine party that sends well-formed but malicious REPORT messages:
 /// undersized sets (must be rejected) and sets claiming undelivered origins
@@ -54,19 +66,15 @@ class ReportForger final : public net::Process {
 TEST(WitnessEdge, ForgedReportsHarmless) {
   const SystemParams p{7, 2};
   net::SimNetwork net(p, std::make_unique<sched::RandomScheduler>(5));
-  for (ProcessId i = 0; i < 6; ++i) {
-    witness::WitnessConfig wc;
-    wc.params = p;
-    wc.input = static_cast<double>(i) / 5.0;
-    wc.iterations = 6;
-    net.add_process(std::make_unique<witness::WitnessAaProcess>(wc));
-  }
-  net.add_process(std::make_unique<ReportForger>());
+  auto procs = build_processes(
+      witness_config(p, {0.0, 0.2, 0.4, 0.6, 0.8, 1.0, 0.0}, 6), {});
+  procs[6] = std::make_unique<ReportForger>();
+  for (auto& proc : procs) net.add_process(std::move(proc));
   net.mark_byzantine(6);
   net.start();
   net.run_until([&net] { return net.all_correct_output(); });
   EXPECT_TRUE(net.all_correct_output());
-  for (double y : net.correct_outputs()) {
+  for (double y : scalar_outputs(net.correct_vector_outputs())) {
     EXPECT_GE(y, 0.0);
     EXPECT_LE(y, 1.0);
   }
@@ -85,22 +93,19 @@ TEST(WitnessEdge, OutOfBudgetTrafficProvokesNoEcho) {
     [[nodiscard]] SystemParams params() const override { return {4, 1}; }
     int sends = 0;
   } ctx;
-  witness::WitnessConfig wc;
-  wc.params = {4, 1};
-  wc.input = 0.5;
-  wc.iterations = 2;
-  witness::WitnessAaProcess proc(wc);
+  auto procs = build_processes(witness_config({4, 1}, {0.5, 0.5, 0.5, 0.5}, 2), {});
+  net::Process& proc = *procs[0];
   proc.on_start(ctx);
   ctx.sends = 0;
 
   const auto rb = [](MsgType type, std::uint32_t instance, ProcessId origin) {
-    return encode_rb(RbMsg{type, instance, origin, 9.0});
+    return encode_rb_vec(RbVecMsg{type, instance, origin, {9.0}});
   };
   for (const std::uint32_t instance : {2u, 3u, 1'000'000u}) {
-    proc.on_message(ctx, 1, rb(MsgType::kRbSend, instance, 1));
+    proc.on_message(ctx, 1, rb(MsgType::kRbVecSend, instance, 1));
     for (ProcessId from = 1; from < 4; ++from) {
-      proc.on_message(ctx, from, rb(MsgType::kRbEcho, instance, 2));
-      proc.on_message(ctx, from, rb(MsgType::kRbReady, instance, 3));
+      proc.on_message(ctx, from, rb(MsgType::kRbVecEcho, instance, 2));
+      proc.on_message(ctx, from, rb(MsgType::kRbVecReady, instance, 3));
     }
     proc.on_message(ctx, 1,
                     encode_report(ReportMsg{instance, std::vector<bool>(4, true)}));
@@ -108,7 +113,7 @@ TEST(WitnessEdge, OutOfBudgetTrafficProvokesNoEcho) {
   EXPECT_EQ(ctx.sends, 0) << "out-of-budget traffic provoked honest sends";
 
   // Control: the same SEND inside the budget is echoed.
-  proc.on_message(ctx, 1, rb(MsgType::kRbSend, 1, 1));
+  proc.on_message(ctx, 1, rb(MsgType::kRbVecSend, 1, 1));
   EXPECT_GT(ctx.sends, 0);
 }
 
@@ -126,6 +131,27 @@ TEST(WitnessEdge, LaggardCatchesUpUnderCliqueScheduling) {
   EXPECT_TRUE(rep.all_output);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << rep.worst_pair_gap;
+}
+
+TEST(WitnessEdge, GreedySplitSchedulerSeesWitnessValues) {
+  // Witness values travel as 1-point RBVEC frames.  The harness's
+  // value-aware scheduler must read them; a probe that decoded only ROUND
+  // frames left kGreedySplit value-blind (constant delay) against kWitness.
+  RunConfig cfg = witness_config({8, 2}, linear_inputs(8, 0.0, 1.0), 1);
+  cfg.sched = SchedKind::kGreedySplit;
+  const auto sched = make_scheduler(cfg);
+  const auto send = [](ProcessId to, double v) {
+    net::Message m;
+    m.from = 7;
+    m.to = to;
+    m.payload = encode_rb_vec(RbVecMsg{MsgType::kRbVecSend, 0, 7, {v}});
+    return m;
+  };
+  (void)sched->delay(send(1, 0.0));  // warm the range estimate
+  (void)sched->delay(send(1, 1.0));
+  // Party 1 is in the low camp: low values first; party 6 mirrored.
+  EXPECT_LT(sched->delay(send(1, 0.0)), sched->delay(send(1, 1.0)));
+  EXPECT_GT(sched->delay(send(6, 0.0)), sched->delay(send(6, 1.0)));
 }
 
 TEST(WitnessEdge, DeterministicReplay) {
@@ -150,14 +176,7 @@ TEST(WitnessEdge, HubStateBounded) {
   // not per message.
   const SystemParams p{4, 1};
   net::SimNetwork net(p, std::make_unique<sched::RandomScheduler>(2));
-  std::vector<witness::WitnessAaProcess*> procs;
-  for (ProcessId i = 0; i < 4; ++i) {
-    witness::WitnessConfig wc;
-    wc.params = p;
-    wc.input = static_cast<double>(i);
-    wc.iterations = 5;
-    auto proc = std::make_unique<witness::WitnessAaProcess>(wc);
-    procs.push_back(proc.get());
+  for (auto& proc : build_processes(witness_config(p, {0.0, 1.0, 2.0, 3.0}, 5), {})) {
     net.add_process(std::move(proc));
   }
   net.start();
@@ -171,15 +190,12 @@ TEST(WitnessEdge, RunsOnRealThreads) {
   const double inputs[] = {0.0, 0.25, 0.75, 1.0};
   const Round iters =
       std::max<Round>(1, rounds_needed(2.0, 1e-3, predicted_factor_witness()));
-  for (ProcessId i = 0; i < 4; ++i) {
-    witness::WitnessConfig wc;
-    wc.params = p;
-    wc.input = inputs[i];
-    wc.iterations = iters;
-    net.add_process(std::make_unique<witness::WitnessAaProcess>(wc));
+  for (auto& proc : build_processes(
+           witness_config(p, {inputs, inputs + 4}, iters), {})) {
+    net.add_process(std::move(proc));
   }
   ASSERT_TRUE(net.run(std::chrono::seconds(20)));
-  const auto outs = net.correct_outputs();
+  const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), 4u);
   const auto [mn, mx] = std::minmax_element(outs.begin(), outs.end());
   EXPECT_LE(*mx - *mn, 1e-3);
