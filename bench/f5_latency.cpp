@@ -11,7 +11,6 @@
 #include <iterator>
 
 #include "bench_util.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "netio/socket_net.hpp"
 

@@ -40,7 +40,6 @@
 #include <utility>
 
 #include "bench_util.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/multidim.hpp"
 

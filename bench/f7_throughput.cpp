@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
-#include "core/async_byz.hpp"
+#include "core/bounds.hpp"
 #include "harness/session.hpp"
 #include "obs/export.hpp"
 #include "obs/trace.hpp"

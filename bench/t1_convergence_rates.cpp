@@ -15,7 +15,6 @@
 
 #include "analysis/worst_case.hpp"
 #include "bench_util.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/sync_engine.hpp"
 

@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench_util.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 
 int main(int argc, char** argv) {

@@ -9,10 +9,10 @@
 
 #include "analysis/worst_case.hpp"
 #include "common/rng.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
 #include "core/multiset_ops.hpp"
+#include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "obs/trace.hpp"
 #include "runtime/thread_net.hpp"
@@ -94,13 +94,17 @@ void BM_ThreadStealExecutor(benchmark::State& state) {
   // between the Arg(1) and Arg(4) rows is the claim/steal + wakeup cost.
   const auto shards = static_cast<std::uint32_t>(state.range(0));
   const SystemParams p{8, 2};
+  harness::RunConfig cfg;
+  cfg.params = p;
+  cfg.protocol = harness::ProtocolKind::kCrashRound;
+  cfg.fixed_rounds = 4;
+  cfg.inputs = harness::linear_inputs(p.n, 0.0, p.n - 1.0);
   std::uint64_t msgs = 0;
   for (auto _ : state) {
     rt::ThreadNetwork net(p);
     net.set_shards(shards);
-    for (ProcessId i = 0; i < p.n; ++i) {
-      net.add_process(std::make_unique<RoundAaProcess>(
-          crash_aa_config(p, static_cast<double>(i), 4)));
+    for (auto& proc : harness::build_processes(cfg, {})) {
+      net.add_process(std::move(proc));
     }
     benchmark::DoNotOptimize(net.run(std::chrono::seconds(30)));
     msgs += net.metrics().messages_delivered;

@@ -12,7 +12,6 @@
 
 #include "adversary/crash_plan.hpp"
 #include "analysis/rate_meter.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 

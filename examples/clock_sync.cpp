@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "common/rng.hpp"
-#include "core/async_byz.hpp"
+#include "core/bounds.hpp"
 #include "harness/harness.hpp"
 
 int main() {

@@ -9,7 +9,6 @@
 //   $ ./dual_backend
 #include <cstdio>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 

@@ -7,7 +7,6 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstdio>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "geom/geom.hpp"
 #include "harness/harness.hpp"

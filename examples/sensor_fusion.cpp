@@ -14,7 +14,6 @@
 //   $ ./sensor_fusion
 #include <cstdio>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 

@@ -26,9 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "core/async_byz.hpp"
-#include "core/async_crash.hpp"
 #include "core/bounds.hpp"
+#include "harness/build.hpp"
 #include "netio/socket_net.hpp"
 
 namespace {
@@ -96,8 +95,14 @@ int run_party(const Options& o) {
   for (ProcessId q = 0; q < p.n; ++q) {
     if (q != id) net.set_party_remote(q);
   }
-  net.add_process_at(id, std::make_unique<core::RoundAaProcess>(
-                             core::crash_aa_config(p, input_of(id), rounds)));
+  // Every party builds the whole kCrashRound scenario and hosts its own
+  // process (the harness builds processes in id order).
+  harness::RunConfig cfg;
+  cfg.params = p;
+  cfg.protocol = harness::ProtocolKind::kCrashRound;
+  cfg.fixed_rounds = rounds;
+  for (ProcessId q = 0; q < p.n; ++q) cfg.inputs.push_back(input_of(q));
+  net.add_process_at(id, std::move(harness::build_processes(cfg, {})[id]));
   if (o.loss > 0.0) {
     netio::FaultConfig faults;
     faults.loss = o.loss;

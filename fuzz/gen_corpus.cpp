@@ -73,6 +73,7 @@ int main(int argc, char** argv) {
     rv.value = {0.5, -0.5, 2.0};
     write_seed(dir, "rbvec-ready", core::encode_rb_vec(rv));
     write_seed(dir, "vec-round", core::encode_vec_round(2, {1.0, 2.0}));
+    write_seed(dir, "vec-round-budget", core::encode_vec_round(4, {0.75}, 9));
     // Overlong 10-byte varint whose 10th byte claims bits past 63: the
     // 2^64-wrap forgery the hardened ByteReader must reject.
     write_seed(dir, "varint-wrap",

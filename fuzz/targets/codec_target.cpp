@@ -81,13 +81,17 @@ int codec_target(const std::uint8_t* data, std::size_t size) {
                             same_bits(m2->value, m->value),
                         kName, "RBVEC encode∘decode fixpoint");
     }
-    if (const auto m = core::decode_vec_round(payload)) {
-      const Bytes enc = core::encode_vec_round(m->first, m->second);
-      const auto m2 = core::decode_vec_round(enc);
+    if (const auto m = core::decode_vec_frame(payload)) {
+      const Bytes enc = core::encode_vec_round(m->round, m->values(), m->budget);
+      const auto m2 = core::decode_vec_frame(enc);
       APXA_FUZZ_REQUIRE(m2.has_value(), kName, "re-encoded VEC must decode");
-      APXA_FUZZ_REQUIRE(m2->first == m->first && same_bits(m2->second, m->second),
+      APXA_FUZZ_REQUIRE(m2->round == m->round && m2->budget == m->budget &&
+                            same_bits(m2->values(), m->values()),
                         kName, "VEC encode∘decode fixpoint");
     }
+    APXA_FUZZ_REQUIRE(core::decode_vec_round(payload).has_value() ==
+                          core::decode_vec_frame(payload).has_value(),
+                      kName, "the VEC decoders accept the same frames");
 
     // The value-aware scheduler probe runs on raw wire bytes too.
     (void)core::value_probe()(payload);

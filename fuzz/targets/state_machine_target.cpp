@@ -27,7 +27,6 @@
 #include <numeric>
 #include <vector>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/build.hpp"
 #include "harness/harness.hpp"

@@ -7,83 +7,6 @@
 
 namespace apxa::adversary {
 
-using core::encode_round;
-using core::RoundMsg;
-
-ByzRoundProcess::ByzRoundProcess(ByzSpec spec) : spec_(spec), rng_(spec.seed) {}
-
-void ByzRoundProcess::on_start(net::Context& ctx) { emit_round(ctx, 0); }
-
-void ByzRoundProcess::on_message(net::Context& ctx, ProcessId from, BytesView payload) {
-  const auto m = core::decode_round(payload);
-  if (!m) return;
-  if (!seen_any_) {
-    seen_lo_ = seen_hi_ = m->value;
-    seen_any_ = true;
-  } else {
-    seen_lo_ = std::min(seen_lo_, m->value);
-    seen_hi_ = std::max(seen_hi_, m->value);
-  }
-  senders_seen_.insert(from);
-  // Learn that round r (and, implicitly, r+1 which honest parties will enter)
-  // exists; attack both.
-  emit_round(ctx, m->round);
-  emit_round(ctx, m->round + 1);
-}
-
-void ByzRoundProcess::emit_round(net::Context& ctx, Round r) {
-  if (spec_.kind == ByzKind::kSilent) return;
-  if (r >= spec_.max_instances) return;
-  // Hull-escape holds fire until a quorum of distinct senders has been
-  // observed, exactly as in the vector attacker (this is its 1-D shadow).
-  if (spec_.kind == ByzKind::kHullEscape &&
-      senders_seen_.size() < ctx.params().quorum()) {
-    return;
-  }
-  if (!emitted_.insert(r).second) return;
-
-  const auto n = ctx.params().n;
-  const std::uint32_t budget = spec_.inflate_budget;
-
-  for (ProcessId to = 0; to < n; ++to) {
-    if (to == ctx.self()) continue;
-    double v = 0.0;
-    switch (spec_.kind) {
-      case ByzKind::kSilent:
-        return;
-      case ByzKind::kExtremeLow:
-        v = spec_.lo;
-        break;
-      case ByzKind::kExtremeHigh:
-        v = spec_.hi;
-        break;
-      case ByzKind::kEquivocate:
-        v = (to < n / 2) ? spec_.lo : spec_.hi;
-        break;
-      case ByzKind::kSpoiler: {
-        const double lo = seen_any_ ? seen_lo_ : spec_.lo;
-        const double hi = seen_any_ ? seen_hi_ : spec_.hi;
-        const double width = std::max(1e-12, hi - lo);
-        v = (to < n / 2) ? lo - spec_.amplify * width : hi + spec_.amplify * width;
-        break;
-      }
-      case ByzKind::kNoise:
-        v = rng_.next_double(spec_.lo, spec_.hi);
-        break;
-      case ByzKind::kHullEscape: {
-        // 1-D shadow of the vector attack: push toward the observed high
-        // extreme from just inside it (in 1-D box == hull, so this is a
-        // negative control — it cannot break validity).
-        const double lo = seen_any_ ? seen_lo_ : spec_.lo;
-        const double hi = seen_any_ ? seen_hi_ : spec_.hi;
-        v = hi - spec_.hull_margin * std::max(1e-12, hi - lo);
-        break;
-      }
-    }
-    ctx.send(to, encode_round(RoundMsg{r, v, budget}));
-  }
-}
-
 ByzVectorProcess::ByzVectorProcess(ByzSpec spec, std::uint32_t dim,
                                    VectorWire wire)
     : spec_(spec),
@@ -104,9 +27,9 @@ void ByzVectorProcess::on_message(net::Context& ctx, ProcessId from,
   Round round = 0;
   std::vector<double> vec;
   bool learn_value = false;
-  if (const auto m = core::decode_vec_round(payload)) {
-    round = m->first;
-    vec = m->second;
+  if (const auto m = core::decode_vec_frame(payload)) {
+    round = m->round;
+    vec = m->values();
     learn_value = true;
   } else if (auto rb = core::decode_rb_vec(payload)) {
     round = rb->instance;
@@ -205,7 +128,7 @@ void ByzVectorProcess::emit_round(net::Context& ctx, Round r) {
       ctx.send(to, core::encode_rb_vec(core::RbVecMsg{
                        core::MsgType::kRbVecSend, r, ctx.self(), v}));
     } else {
-      ctx.send(to, core::encode_vec_round(r, v));
+      ctx.send(to, core::encode_vec_round(r, v, spec_.inflate_budget));
     }
   }
 }

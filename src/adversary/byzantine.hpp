@@ -1,4 +1,5 @@
-// Byzantine attacker processes for the round-based protocols.
+// Byzantine attacker process for the round-based protocols (scalar
+// protocols are d = 1).
 //
 // Byzantine parties are ordinary net::Process implementations: the
 // per-receiver send() interface already grants full equivocation power.  The
@@ -61,31 +62,13 @@ struct ByzSpec {
   /// INSIDE the honest maxima (so reduce-based trimming does not discard the
   /// forged corner outright).
   double hull_margin = 0.05;
-  std::uint32_t inflate_budget = 0;  ///< nonzero: claim this round budget
+  std::uint32_t inflate_budget = 0;  ///< nonzero: claim this round budget (VEC)
   std::uint64_t seed = 1;            ///< noise determinism
   /// Attack at most this many rounds/iterations.  Bounds the traffic a lone
   /// attacker can generate: without a cap an RB attacker that learns rounds
   /// from echo traffic feeds on the echoes its own forgeries provoke and
   /// escalates forever.
   std::uint32_t max_instances = 128;
-};
-
-class ByzRoundProcess final : public net::Process {
- public:
-  explicit ByzRoundProcess(ByzSpec spec);
-
-  void on_start(net::Context& ctx) override;
-  void on_message(net::Context& ctx, ProcessId from, BytesView payload) override;
-
- private:
-  void emit_round(net::Context& ctx, Round r);
-
-  ByzSpec spec_;
-  Rng rng_;
-  std::set<Round> emitted_;
-  double seen_lo_ = 0.0, seen_hi_ = 0.0;
-  bool seen_any_ = false;
-  std::set<ProcessId> senders_seen_;  ///< distinct senders; gates hull-escape
 };
 
 /// Which wire format a vector attacker speaks — i.e. which collect layer it

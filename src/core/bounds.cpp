@@ -61,6 +61,13 @@ Round rounds_needed(double S, double eps, double K) {
   return static_cast<Round>(std::ceil(r - 1e-12));
 }
 
+Round rounds_for_bound(double M, double epsilon, Averager averager,
+                       SystemParams params) {
+  APXA_ENSURE(M >= 0.0, "magnitude bound must be non-negative");
+  return rounds_needed(2.0 * M, epsilon,
+                       predicted_factor(averager, params.n, params.t));
+}
+
 bool resilience_crash_async(std::uint32_t n, std::uint32_t t) { return n > 2 * t; }
 bool resilience_byz_sync(std::uint32_t n, std::uint32_t t) { return n > 3 * t; }
 bool resilience_byz_async(std::uint32_t n, std::uint32_t t) { return n > 5 * t; }

@@ -58,6 +58,12 @@ double predicted_factor(Averager a, std::uint32_t n, std::uint32_t t);
 /// ceil(log_K(S / eps)); 0 when S <= eps.  K must exceed 1.
 Round rounds_needed(double S, double eps, double K);
 
+/// Round budget that guarantees eps-agreement when all correct inputs have
+/// magnitude at most M (so the initial spread is at most 2M), for the given
+/// averager's guaranteed factor.
+Round rounds_for_bound(double M, double epsilon, Averager averager,
+                       SystemParams params);
+
 /// Resilience checks, named after the model they guard.
 bool resilience_crash_async(std::uint32_t n, std::uint32_t t);  // n > 2t
 bool resilience_byz_sync(std::uint32_t n, std::uint32_t t);     // n > 3t

@@ -1,5 +1,8 @@
 #include "core/codec.hpp"
 
+#include <cstring>
+#include <limits>
+
 namespace apxa::core {
 
 namespace {
@@ -21,6 +24,16 @@ std::optional<std::vector<double>> read_point(ByteReader& r) {
   }
   std::vector<double> v(dim);
   for (double& x : v) x = r.get_f64();
+  return v;
+}
+
+double load_f64(const std::byte* p) {
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 8; ++i) {
+    bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+  }
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
@@ -161,27 +174,56 @@ std::optional<RbVecMsg> decode_rb_vec(BytesView payload) {
   });
 }
 
-Bytes encode_vec_round(Round r, const std::vector<double>& v) {
+Bytes encode_vec_round(Round r, const std::vector<double>& v,
+                       std::uint32_t budget) {
   ByteWriter w;
   w.put_u8(static_cast<std::uint8_t>(MsgType::kVecRound));
   w.put_varint(r);
   w.put_varint(v.size());
   for (double x : v) w.put_f64(x);
+  if (budget != 0) w.put_varint(budget);
   return std::move(w).take();
+}
+
+double VecFrame::coord(std::uint32_t c) const { return load_f64(&point[8 * c]); }
+
+std::vector<double> VecFrame::values() const {
+  std::vector<double> v(dim());
+  for (std::uint32_t c = 0; c < v.size(); ++c) v[c] = coord(c);
+  return v;
+}
+
+std::optional<VecFrame> decode_vec_frame(BytesView payload) {
+  if (peek_type(payload) != MsgType::kVecRound) return std::nullopt;
+  return total_decode([&]() -> std::optional<VecFrame> {
+    ByteReader r(payload);
+    r.get_u8();
+    VecFrame m;
+    m.round = static_cast<Round>(r.get_varint());
+    const std::uint64_t dim = r.get_varint();
+    if (dim == 0 || dim > (1u << 16) || r.remaining() < 8 * dim) {
+      return std::nullopt;
+    }
+    const std::size_t at = payload.size() - r.remaining();
+    m.point = payload.subspan(at, 8 * dim);
+    ByteReader tail(payload.subspan(at + 8 * dim));
+    if (!tail.done()) {
+      const std::uint64_t budget = tail.get_varint();
+      if (budget == 0 || budget > std::numeric_limits<std::uint32_t>::max() ||
+          !tail.done()) {
+        return std::nullopt;
+      }
+      m.budget = static_cast<std::uint32_t>(budget);
+    }
+    return m;
+  });
 }
 
 std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
     BytesView payload) {
-  if (peek_type(payload) != MsgType::kVecRound) return std::nullopt;
-  return total_decode(
-      [&]() -> std::optional<std::pair<Round, std::vector<double>>> {
-        ByteReader r(payload);
-        r.get_u8();
-        const auto round = static_cast<Round>(r.get_varint());
-        auto v = read_point(r);
-        if (!v) return std::nullopt;
-        return std::make_pair(round, std::move(*v));
-      });
+  const auto m = decode_vec_frame(payload);
+  if (!m) return std::nullopt;
+  return std::make_pair(m->round, m->values());
 }
 
 sched::ProbeFn value_probe() {
@@ -189,8 +231,8 @@ sched::ProbeFn value_probe() {
     if (const auto m = decode_round(payload)) {
       return sched::ValueProbe{m->round, m->value};
     }
-    if (const auto m = decode_vec_round(payload)) {
-      return sched::ValueProbe{m->first, m->second[0]};
+    if (const auto m = decode_vec_frame(payload)) {
+      return sched::ValueProbe{m->round, m->coord(0)};
     }
     if (const auto m = decode_rb_vec(payload)) {
       return sched::ValueProbe{m->instance, m->value[0]};

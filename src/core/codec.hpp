@@ -3,24 +3,26 @@
 // All protocols share a single tagged encoding so that schedulers, probes and
 // metrics can reason about traffic uniformly:
 //
-//   ROUND   : round-based value exchange   [tag][round varint][value f64][budget varint]
+//   ROUND   : scalar value exchange        [tag][round varint][value f64][budget varint]
 //   DONE    : frozen-value announcement    [tag][round varint][value f64]
 //   RB_*    : scalar Bracha RB             [tag][instance varint][origin varint][value f64]
 //   REPORT  : witness report (the          [tag][iter varint][bitset of delivered origins]
 //             equalized collect layer)
-//   VEC     : vector round exchange        [tag][round varint][dim varint][f64 x dim]
-//             (the quorum collect layer)
+//   VEC     : round exchange (the quorum   [tag][round varint][dim varint][f64 x dim][budget varint, only if != 0]
+//             collect layer)
 //   RBVEC_* : Bracha RB, vector payload    [tag][instance varint][origin varint][dim varint][f64 x dim]
 //             (rb::BrachaHub, the transport of the equalized collect layer)
 //
-// The scalar RB tags 3-5 are codec-only: no protocol sends them (the one RB
-// hub speaks RBVEC; scalar protocols broadcast 1-point payloads).  The codec
-// stays because the repository benchmark (perfbench/) times it; the hub
-// ignores these frames.
+// ROUND and the scalar RB tags 3-5 are codec-only: no protocol sends them
+// (every round protocol speaks VEC or RBVEC, scalars as 1-points).  The
+// codec stays because the repository benchmark (perfbench/) times it; the
+// collect engines ignore these frames.
 //
-// The `budget` field of ROUND carries the sender's current round budget in
-// the adaptive-termination mode (0 when unused) — budgets piggyback on value
-// traffic instead of costing extra messages.
+// The trailing `budget` varint of VEC carries the sender's round budget in
+// the adaptive-termination mode (core/multidim.hpp) — budgets piggyback on
+// value traffic instead of costing extra messages.  It is omitted when 0, so
+// a 1-point VEC frame without a budget is exactly as long as a ROUND frame
+// with budget 0, and a decoder rejects an explicit 0 (one encoding per frame).
 //
 // Every format starts [tag][round-or-instance varint], which is what lets
 // net::Metrics attribute per-phase and per-round message counts without
@@ -107,8 +109,28 @@ std::optional<ReportMsg> decode_report(BytesView payload);
 Bytes encode_rb_vec(const RbVecMsg& m);
 std::optional<RbVecMsg> decode_rb_vec(BytesView payload);
 
-/// VEC frame: (round, point).  Rejects dim 0 and dim > 2^16.
-Bytes encode_vec_round(Round r, const std::vector<double>& v);
+/// VEC frame: (round, point, budget).  Rejects dim 0 and dim > 2^16.
+Bytes encode_vec_round(Round r, const std::vector<double>& v,
+                       std::uint32_t budget = 0);
+
+/// A decoded VEC frame whose point still sits in the payload: decoding it
+/// allocates nothing, so the quorum engine can drop a frame before paying
+/// for its point.  `point` views the payload and lives as long as it does.
+struct VecFrame {
+  Round round = 0;
+  std::uint32_t budget = 0;  ///< adaptive round budget; 0 = not in use
+  BytesView point;           ///< dim() little-endian f64s
+
+  [[nodiscard]] std::uint32_t dim() const {
+    return static_cast<std::uint32_t>(point.size() / 8);
+  }
+  [[nodiscard]] double coord(std::uint32_t c) const;
+  [[nodiscard]] std::vector<double> values() const;
+};
+
+std::optional<VecFrame> decode_vec_frame(BytesView payload);
+
+/// (round, point) of a VEC frame; the budget is dropped.
 std::optional<std::pair<Round, std::vector<double>>> decode_vec_round(
     BytesView payload);
 

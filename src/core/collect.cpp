@@ -23,31 +23,45 @@ void note_view_freeze(obs::TraceSink* trace, ProcessId owner, Round r,
 // The collect rule of the 1987 round protocols: direct multicast of
 // encode_vec_round, one entry per sender, freeze at n - t entries with own
 // always included.  The frozen view keeps arrival order (entries buffered
-// before the owner entered the round precede its own).
+// before the owner entered the round precede its own; sticky DONE entries
+// follow it).
 class QuorumCollector final : public Collector {
  public:
   QuorumCollector(SystemParams params, std::uint32_t dim, Round max_rounds,
-                  ViewFn on_view, obs::TraceSink* trace)
-      : params_(params),
-        dim_(dim),
+                  ViewFn on_view, obs::TraceSink* trace, QuorumHook hook)
+      : dim_(dim),
         max_rounds_(max_rounds),
+        params_(params),
         view_(std::move(on_view)),
-        trace_(trace) {}
+        trace_(trace),
+        hook_(std::move(hook)) {}
 
   void begin_round(net::Context& ctx, Round r,
-                   const std::vector<double>& value) override {
+                   std::vector<double> value) override {
     round_ = r;
     slots_.erase(slots_.begin(), slots_.lower_bound(r));
-    add_own(ctx, r, value);
-    ctx.multicast(encode_vec_round(r, value));
+    ctx.multicast(encode_vec_round(r, value, hook_.budget ? hook_.budget() : 0));
+    current_ = &slot(r);
+    APXA_ASSERT(!current_->own_added, "own vector added twice");
+    current_->own_added = true;
+    add(*current_, ctx.self(), std::move(value));
+    for (const auto& [from, d] : done_) {
+      if (d.round > r) continue;
+      if (Slot* open = accepting(from, r)) add(*open, from, {d.value});
+    }
     maybe_fire(ctx);
   }
 
   bool handle(net::Context& ctx, ProcessId from, BytesView payload) override {
-    auto m = decode_vec_round(payload);
-    if (!m) return false;
-    add_remote(from, m->first, std::move(m->second));
-    maybe_fire(ctx);
+    // Header first: a frame the rules drop costs no heap point.
+    const auto m = decode_vec_frame(payload);
+    if (!m) return hook_.observe && handle_done(ctx, from, payload);
+    if (m->dim() != dim_) return true;  // malformed for this engine
+    if (hook_.observe) hook_.observe(m->coord(0), m->budget);
+    if (Slot* s = accepting(from, m->round)) {
+      add(*s, from, m->values());
+      if (s->frozen) maybe_fire(ctx);
+    }
     return true;
   }
 
@@ -60,70 +74,88 @@ class QuorumCollector final : public Collector {
     bool frozen = false;
     bool fired = false;
   };
+  struct Done {
+    Round round = 0;
+    double value = 0.0;
+  };
 
-  void maybe_freeze(Slot& s) const {
-    if (!s.frozen && s.own_added && s.entries.size() >= params_.quorum()) {
-      s.frozen = true;
-    }
+  Slot& slot(Round r) {
+    Slot& s = slots_[r];
+    if (s.entries.capacity() == 0) s.entries.reserve(params_.quorum());
+    return s;
   }
 
-  void add_own(net::Context& ctx, Round r, const std::vector<double>& v) {
-    Slot& s = slots_[r];
-    APXA_ASSERT(!s.own_added, "own vector added twice");
-    s.own_added = true;
-    s.entries.push_back({ctx.self(), v});
-    maybe_freeze(s);
-  }
-
-  void add_remote(ProcessId from, Round r, std::vector<double> v) {
-    if (r < round_) return;       // settled round: the view is gone
-    if (r >= max_rounds_) return; // beyond the budget: byzantine garbage
-    Slot& s = slots_[r];
-    if (s.frozen || v.size() != dim_) return;
+  // The slot a round-r point from `from` joins, or null when the rules drop
+  // it: a settled round (its view is gone), a round beyond the budget
+  // (byzantine garbage), a frozen view, a second point from one sender, or
+  // no room left beside the owner's own entry.
+  Slot* accepting(ProcessId from, Round r) {
+    if (r < round_ || r >= max_rounds_) return nullptr;
+    Slot& s = r == round_ && current_ ? *current_ : slot(r);
+    if (s.frozen) return nullptr;
     // One point per sender per round: sender-authenticated channels cap the
     // byzantine mass of any frozen view at t entries, which is precisely
     // what the safe-area rule tolerates.
     if (std::any_of(s.entries.begin(), s.entries.end(),
                     [from](const CollectEntry& e) { return e.origin == from; })) {
-      return;
+      return nullptr;
     }
     const std::size_t cap =
         s.own_added ? params_.quorum() : params_.quorum() - 1;
-    if (s.entries.size() >= cap) return;
+    return s.entries.size() < cap ? &s : nullptr;
+  }
+
+  void add(Slot& s, ProcessId from, std::vector<double> v) {
     s.entries.push_back({from, std::move(v)});
-    maybe_freeze(s);
+    if (s.own_added && s.entries.size() >= params_.quorum()) s.frozen = true;
+  }
+
+  // DONE (adaptive termination): the sender's frozen value is its entry in
+  // the round named and every later one; begin_round re-injects it.
+  bool handle_done(net::Context& ctx, ProcessId from, BytesView payload) {
+    const auto d = decode_done(payload);
+    if (!d) return false;
+    hook_.observe(d->value, std::nullopt);
+    done_[from] = Done{d->round, d->value};
+    if (d->round <= round_) {
+      if (Slot* s = accepting(from, round_)) {
+        add(*s, from, {d->value});
+        if (s->frozen) maybe_fire(ctx);
+      }
+    }
+    return true;
   }
 
   void maybe_fire(net::Context& ctx) {
     // Fires only for the round the owner is in: a future-round slot cannot
     // freeze (own entry missing), past rounds are erased.  The ViewFn may
-    // re-enter begin_round, which advances round_; the guard folds the
-    // nested maybe_fire into this loop, which then drives the new round
-    // (whose view may already be frozen from buffered arrivals).
+    // re-enter begin_round, which advances round_ and current_; the guard
+    // folds the nested maybe_fire into this loop, which then drives the new
+    // round (whose view may already be frozen from buffered arrivals).
     if (firing_) return;
     firing_ = true;
-    while (true) {
-      const auto it = slots_.find(round_);
-      if (it == slots_.end() || !it->second.frozen || it->second.fired) break;
-      it->second.fired = true;
+    while (current_ && current_->frozen && !current_->fired) {
+      current_->fired = true;
       // Move the view out: begin_round re-entry erases the slot.
-      const std::vector<CollectEntry> view = std::move(it->second.entries);
-      const Round fired_round = round_;
-      note_view_freeze(trace_, ctx.self(), fired_round, view.size());
-      view_(ctx, fired_round, view);
-      if (round_ == fired_round) break;  // owner did not advance
+      const std::vector<CollectEntry> view = std::move(current_->entries);
+      note_view_freeze(trace_, ctx.self(), round_, view.size());
+      view_(ctx, round_, view);
     }
     firing_ = false;
   }
 
-  SystemParams params_;
-  std::uint32_t dim_;
-  Round max_rounds_;
-  ViewFn view_;
-  std::map<Round, Slot> slots_;
+  // The fields the delivery path reads come first.
+  Slot* current_ = nullptr;  ///< slots_[round_] once begin_round entered it
   Round round_ = 0;
   bool firing_ = false;
+  std::uint32_t dim_;
+  Round max_rounds_;
+  SystemParams params_;
+  ViewFn view_;
+  std::map<Round, Slot> slots_;
   obs::TraceSink* trace_ = nullptr;
+  QuorumHook hook_;
+  std::map<ProcessId, Done> done_;  ///< sticky DONE entries (hook set only)
 };
 
 // --- equalized collect ------------------------------------------------------
@@ -158,7 +190,7 @@ class EqualizedCollector final : public Collector {
         }) {}
 
   void begin_round(net::Context& ctx, Round r,
-                   const std::vector<double>& value) override {
+                   std::vector<double> value) override {
     self_ = ctx.self();
     round_ = r;
     hub_.broadcast(ctx, r, value);
@@ -291,13 +323,19 @@ class EqualizedCollector final : public Collector {
 std::unique_ptr<Collector> make_collector(CollectMode mode, SystemParams params,
                                           std::uint32_t dim, Round max_rounds,
                                           Collector::ViewFn on_view,
-                                          obs::TraceSink* trace) {
+                                          obs::TraceSink* trace,
+                                          QuorumHook hook) {
   APXA_ENSURE(on_view != nullptr, "collect view callback required");
   APXA_ENSURE(dim >= 1, "dimension must be positive");
+  const bool hooked = hook.budget || hook.observe;
+  APXA_ENSURE(!hooked || (hook.budget && hook.observe && dim == 1 &&
+                          mode == CollectMode::kQuorum),
+              "a quorum hook needs both callbacks, dim 1 and the quorum engine");
   switch (mode) {
     case CollectMode::kQuorum:
       return std::make_unique<QuorumCollector>(params, dim, max_rounds,
-                                               std::move(on_view), trace);
+                                               std::move(on_view), trace,
+                                               std::move(hook));
     case CollectMode::kEqualized:
       return std::make_unique<EqualizedCollector>(params, dim, max_rounds,
                                                   std::move(on_view), trace);

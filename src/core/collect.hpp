@@ -50,16 +50,18 @@
 // begin_round() for the next round (and usually does).
 //
 // core::VectorAaProcess (core/multidim.hpp) runs on one of these engines:
-// kQuorum for kVectorCrash/kVectorByz/kVectorConvex, kEqualized for
-// kVectorConvexRB and for the scalar AAD'04 witness protocol (kWitness, whose
-// entries are 1-points).  The scalar round protocols (core::RoundAaProcess)
-// still collect through core::RoundCollector.
+// kQuorum for the scalar round protocols (kCrashRound/kByzRound, whose
+// entries are 1-points) and kVectorCrash/kVectorByz/kVectorConvex,
+// kEqualized for kVectorConvexRB and the scalar AAD'04 witness protocol
+// (kWitness).  core::RoundCollector (core/round_engine.hpp) is the scalar
+// quorum rule kept for the repository benchmark; no process uses it.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -92,9 +94,10 @@ class Collector {
 
   virtual ~Collector() = default;
 
-  /// Enter round r (strictly increasing calls) and publish `value`.
+  /// Enter round r (strictly increasing calls) and publish `value`.  The
+  /// frozen round-r view holds `value` as the owner's own entry.
   virtual void begin_round(net::Context& ctx, Round r,
-                           const std::vector<double>& value) = 0;
+                           std::vector<double> value) = 0;
 
   /// Feed an incoming payload; true if consumed (an RB / report / round
   /// message of this engine's wire format).
@@ -104,6 +107,18 @@ class Collector {
   /// True for the equalized engine: laggards' RB instances need this party's
   /// echoes/readies for totality (rb/bracha.hpp).
   [[nodiscard]] virtual bool serve_when_done() const = 0;
+};
+
+/// Adaptive termination on the quorum engine (core/multidim.hpp).  With a
+/// hook set the engine piggybacks budget() on every VEC frame it sends,
+/// shows every arriving value of the engine's dimension to observe() before
+/// any drop rule (with the frame's budget; nullopt for a DONE), and accepts
+/// DONE frames: a DONE sender's frozen value is its entry in the round the
+/// DONE names and in every later round ("sticky"), so parties that are
+/// still running keep making quorums.  DONE carries a scalar: dim 1 only.
+struct QuorumHook {
+  std::function<std::uint32_t()> budget;
+  std::function<void(double value, std::optional<std::uint32_t> budget)> observe;
 };
 
 /// Build a collect engine.  `dim` is the expected point dimension (entries
@@ -117,10 +132,11 @@ class Collector {
 /// engine) records an obs::EventKind::kViewFreeze event each time a round's
 /// view freezes — party = owner, round = r, value = frozen-view size —
 /// from inside the owner's upcall, so the simulator's serial event order
-/// fixes its position in the trace.
+/// fixes its position in the trace.  `hook` is for kQuorum only.
 std::unique_ptr<Collector> make_collector(CollectMode mode, SystemParams params,
                                           std::uint32_t dim, Round max_rounds,
                                           Collector::ViewFn on_view,
-                                          obs::TraceSink* trace = nullptr);
+                                          obs::TraceSink* trace = nullptr,
+                                          QuorumHook hook = {});
 
 }  // namespace apxa::core

@@ -9,7 +9,7 @@ namespace apxa::core {
 
 namespace {
 
-/// Per-receiver byzantine value in round r, mirroring ByzRoundProcess.
+/// Per-receiver byzantine value in round r, mirroring adversary::ByzVectorProcess at d = 1.
 double byz_value(const adversary::ByzSpec& s, ProcessId to, std::uint32_t n,
                  double seen_lo, double seen_hi, Rng& rng) {
   using adversary::ByzKind;

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "common/ensure.hpp"
-#include "core/async_byz.hpp"
+#include "core/bounds.hpp"
 #include "core/codec.hpp"
 #include "core/multidim.hpp"
 #include "net/envelope.hpp"
@@ -51,6 +51,10 @@ void validate(const RunConfig& cfg) {
                   cfg.protocol != ProtocolKind::kVectorConvexRB,
               "vector protocols take a VectorRunConfig");
   APXA_ENSURE(cfg.inputs.size() == cfg.params.n, "inputs must have size n");
+  // The DLPSW rule contracts only past its resilience bound.
+  APXA_ENSURE(cfg.protocol != ProtocolKind::kByzRound ||
+                  core::resilience_byz_async(cfg.params.n, cfg.params.t),
+              "kByzRound (DLPSW async) requires n > 5t");
   validate_faults(cfg.params, cfg.crashes, cfg.byz, cfg.allow_excess_faults);
 }
 
@@ -110,6 +114,13 @@ std::unique_ptr<sched::Scheduler> make_scheduler(const RunConfig& cfg) {
 
 std::vector<std::unique_ptr<net::Process>> build_processes(
     const RunConfig& cfg, const core::TraceFn& trace) {
+  // Every scalar kind is core::VectorAaProcess at d = 1: the round kinds on
+  // the quorum engine, AAD'04 on the equalized engine with the
+  // reduce-midpoint rule (core/multidim.hpp).
+  const bool witness = cfg.protocol == ProtocolKind::kWitness;
+  APXA_ENSURE(witness || cfg.protocol == ProtocolKind::kCrashRound ||
+                  cfg.protocol == ProtocolKind::kByzRound,
+              "vector protocols take a VectorRunConfig");
   const auto n = cfg.params.n;
   const auto byz = byzantine_ids(cfg);
   std::vector<std::unique_ptr<net::Process>> procs;
@@ -118,57 +129,33 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
     if (byz.contains(p)) {
       const auto it = std::find_if(cfg.byz.begin(), cfg.byz.end(),
                                    [p](const auto& b) { return b.who == p; });
-      if (cfg.protocol == ProtocolKind::kWitness) {
-        // The witness protocol's values travel as 1-point vector RB.
-        procs.push_back(std::make_unique<adversary::ByzVectorProcess>(
-            *it, 1, adversary::VectorWire::kRbVec));
-      } else {
-        procs.push_back(std::make_unique<adversary::ByzRoundProcess>(*it));
-      }
+      procs.push_back(std::make_unique<adversary::ByzVectorProcess>(
+          *it, 1,
+          witness ? adversary::VectorWire::kRbVec : adversary::VectorWire::kDirect));
       continue;
     }
-    switch (cfg.protocol) {
-      case ProtocolKind::kCrashRound:
-      case ProtocolKind::kByzRound: {
-        core::RoundAaConfig pc;
-        pc.params = cfg.params;
-        pc.input = cfg.inputs[p];
-        pc.averager = cfg.protocol == ProtocolKind::kByzRound
-                          ? core::Averager::kDlpswAsync
-                          : cfg.averager;
-        pc.mode = cfg.mode;
-        pc.fixed_rounds = cfg.fixed_rounds;
-        pc.epsilon = cfg.epsilon;
-        pc.adaptive_slack = cfg.adaptive_slack;
-        pc.byzantine_safe_estimate = cfg.protocol == ProtocolKind::kByzRound;
-        pc.trace = trace;
-        procs.push_back(std::make_unique<core::RoundAaProcess>(pc));
-        break;
-      }
-      case ProtocolKind::kWitness: {
-        // AAD'04 is the equalized collect at d = 1 with the reduce-midpoint
-        // rule (core/multidim.hpp).
-        core::VectorAaConfig pc;
-        pc.params = cfg.params;
-        pc.input = {cfg.inputs[p]};
-        pc.averager = core::Averager::kReduceMidpoint;
-        pc.fixed_rounds = cfg.fixed_rounds;
-        pc.collect = core::CollectMode::kEqualized;
-        if (trace) {
-          pc.trace = [trace](ProcessId q, Round r, const std::vector<double>& v) {
-            trace(q, r, v[0]);
-          };
-        }
-        pc.trace_sink = cfg.trace;
-        procs.push_back(std::make_unique<core::VectorAaProcess>(pc));
-        break;
-      }
-      case ProtocolKind::kVectorCrash:
-      case ProtocolKind::kVectorByz:
-      case ProtocolKind::kVectorConvex:
-      case ProtocolKind::kVectorConvexRB:
-        APXA_ENSURE(false, "vector protocols take a VectorRunConfig");
+    core::VectorAaConfig pc;
+    pc.params = cfg.params;
+    pc.input = {cfg.inputs[p]};
+    pc.fixed_rounds = cfg.fixed_rounds;
+    if (witness) {
+      pc.averager = core::Averager::kReduceMidpoint;
+      pc.collect = core::CollectMode::kEqualized;
+    } else {
+      pc.averager = cfg.protocol == ProtocolKind::kByzRound
+                        ? core::Averager::kDlpswAsync
+                        : cfg.averager;
+      pc.mode = cfg.mode;
+      pc.epsilon = cfg.epsilon;
+      pc.adaptive_slack = cfg.adaptive_slack;
     }
+    if (trace) {
+      pc.trace = [trace](ProcessId q, Round r, const std::vector<double>& v) {
+        trace(q, r, v[0]);
+      };
+    }
+    pc.trace_sink = cfg.trace;
+    procs.push_back(std::make_unique<core::VectorAaProcess>(std::move(pc)));
   }
   return procs;
 }
@@ -264,7 +251,7 @@ std::vector<std::unique_ptr<net::Process>> build_processes(
     pc.trace = trace;
     pc.view_trace = view_trace;
     pc.trace_sink = cfg.trace;
-    procs.push_back(std::make_unique<core::VectorAaProcess>(pc));
+    procs.push_back(std::make_unique<core::VectorAaProcess>(std::move(pc)));
   }
   return procs;
 }
@@ -282,17 +269,9 @@ void stage(const VectorRunConfig& cfg, const core::VecTraceFn& trace,
 exec::DonePredicate make_done_predicate(const RunConfig& cfg) {
   if (cfg.mode != core::TerminationMode::kLive) return {};
   // Live protocols never output; a party is done once it has entered
-  // round/iteration `fixed_rounds` (the observation horizon).
-  const Round horizon = cfg.fixed_rounds;
-  if (cfg.protocol == ProtocolKind::kWitness) {
-    return [horizon](const net::Process& pr) {
-      const auto& w = dynamic_cast<const core::VectorAaProcess&>(pr);
-      return w.current_round() >= horizon;
-    };
-  }
-  return [horizon](const net::Process& pr) {
-    const auto& r = dynamic_cast<const core::RoundAaProcess&>(pr);
-    return r.current_round() >= horizon;
+  // round `fixed_rounds` (the observation horizon).
+  return [horizon = cfg.fixed_rounds](const net::Process& pr) {
+    return dynamic_cast<const core::VectorAaProcess&>(pr).current_round() >= horizon;
   };
 }
 

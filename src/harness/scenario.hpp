@@ -22,7 +22,7 @@
 #include "adversary/byzantine.hpp"
 #include "adversary/crash_plan.hpp"
 #include "common/ids.hpp"
-#include "core/async_crash.hpp"
+#include "core/multidim.hpp"
 #include "net/metrics.hpp"
 #include "net/status.hpp"
 #include "netio/fault.hpp"
@@ -32,8 +32,13 @@
 namespace apxa::harness {
 
 enum class ProtocolKind : std::uint8_t {
-  kCrashRound,   ///< Fekete-style round-based (crash model)
-  kByzRound,     ///< DLPSW asynchronous byzantine (t < n/5)
+  /// Fekete's crash-model round protocol: core::VectorAaProcess at d = 1 on
+  /// the quorum collect with RunConfig::averager (n > 2t).  Theta(n^2)
+  /// messages per round; all three termination modes.
+  kCrashRound,
+  /// DLPSW asynchronous byzantine: the same process with the
+  /// mean ∘ select_2t ∘ reduce_t rule (n > 5t, checked by validate).
+  kByzRound,
   /// AAD'04 witness technique (t < n/3): the equalized collect at d = 1
   /// with the reduce-midpoint rule (core/multidim.hpp).  Theta(n^3)
   /// messages per iteration.
@@ -68,7 +73,8 @@ enum class BackendKind : std::uint8_t {
 struct RunConfig {
   SystemParams params;
   ProtocolKind protocol = ProtocolKind::kCrashRound;
-  core::Averager averager = core::Averager::kMean;  ///< round-based only
+  core::Averager averager = core::Averager::kMean;  ///< kCrashRound only
+  /// kCrashRound / kByzRound only; kWitness always runs fixed_rounds.
   core::TerminationMode mode = core::TerminationMode::kFixedRounds;
   Round fixed_rounds = 1;       ///< iterations (fixed mode / witness / live horizon)
   double epsilon = 1e-3;

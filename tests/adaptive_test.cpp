@@ -5,7 +5,7 @@
 // bench/t7 measures the violation rate).
 #include <gtest/gtest.h>
 
-#include "core/async_byz.hpp"
+#include "core/bounds.hpp"
 #include "harness/harness.hpp"
 
 namespace apxa::core {

@@ -2,7 +2,6 @@
 // against every attacker strategy, plus resilience-boundary behavior.
 #include <gtest/gtest.h>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 

@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 

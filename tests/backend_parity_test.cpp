@@ -10,7 +10,6 @@
 
 #include "adversary/crash_plan.hpp"
 #include "backend_matrix.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "exec/sim_backend.hpp"
 #include "exec/thread_backend.hpp"
@@ -110,6 +109,28 @@ TEST_P(BackendParity, CrashAtExactSendBudgetBoundary) {
   ASSERT_EQ(rep.outputs.size(), p.n - 1);
   EXPECT_TRUE(rep.validity_ok);
   EXPECT_TRUE(rep.agreement_ok) << "worst gap " << rep.worst_pair_gap;
+}
+
+TEST_P(BackendParity, AdaptiveTerminationWithCrashes) {
+  // Adaptive termination off the simulator: the budget piggybacked on VEC
+  // frames and the sticky DONE entries must carry every correct party to a
+  // decision under real concurrency too.  One party crashes at startup,
+  // another mid-multicast after one full round, so laggards need the DONE
+  // stand-ins of parties that already decided to keep making quorums.
+  const SystemParams p{7, 2};
+  auto cfg = crash_mean_base(p, 0);
+  cfg.mode = core::TerminationMode::kAdaptive;
+  cfg.inputs = linear_inputs(p.n, -3.0, 5.0);
+  adversary::CrashSpec startup;
+  startup.who = 5;
+  startup.after_sends = 0;
+  cfg.crashes = {startup, adversary::partial_multicast_crash(
+                              p, 6, /*full_rounds=*/1, {0, 1})};
+  const auto rep = run_on_backend(cfg);
+  EXPECT_TRUE(rep.all_output);
+  ASSERT_EQ(rep.outputs.size(), p.n - 2);
+  EXPECT_TRUE(rep.validity_ok);
+  EXPECT_GE(rep.max_round_reached, 1u);
 }
 
 TEST_P(BackendParity, ByzantineEquivocator) {

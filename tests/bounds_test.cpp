@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 
 namespace apxa::core {

@@ -357,5 +357,53 @@ TEST(Codec, VecRoundRejectsZeroDim) {
   EXPECT_FALSE(decode_vec_round(std::move(w).take()).has_value());
 }
 
+TEST(Codec, VecRoundOneDimIsAsLongAsRound) {
+  // Scalar round protocols speak 1-point VEC frames; without a budget they
+  // cost exactly the bytes of a ROUND frame with budget 0.
+  for (const Round r : {0u, 5u, 127u, 128u, 100000u}) {
+    EXPECT_EQ(encode_vec_round(r, {0.25}).size(),
+              encode_round(RoundMsg{r, 0.25, 0}).size())
+        << "round " << r;
+  }
+}
+
+TEST(Codec, VecRoundBudgetRoundTrips) {
+  for (const std::uint32_t budget : {0u, 1u, 64u, 300u, 0xffffffffu}) {
+    const Bytes b = encode_vec_round(9, {1.5, -2.0}, budget);
+    const auto m = decode_vec_frame(b);
+    ASSERT_TRUE(m.has_value()) << budget;
+    EXPECT_EQ(m->round, 9u);
+    EXPECT_EQ(m->budget, budget);
+    EXPECT_EQ(m->values(), (std::vector<double>{1.5, -2.0}));
+    // The pair decoder drops the budget but keeps the point.
+    EXPECT_EQ(decode_vec_round(b)->second, m->values());
+  }
+  // The budget is a trailing varint, absent when 0.
+  EXPECT_EQ(encode_vec_round(9, {1.5}, 1).size(),
+            encode_vec_round(9, {1.5}).size() + 1);
+}
+
+TEST(Codec, VecRoundTrailingGarbageRejected) {
+  // One encoding per frame: an explicit zero budget, bytes after the budget,
+  // a budget past 32 bits and a truncated budget varint are all rejected.
+  Bytes zero = encode_vec_round(1, {2.0});
+  zero.push_back(std::byte{0});
+  EXPECT_FALSE(decode_vec_frame(zero).has_value());
+  Bytes extra = encode_vec_round(1, {2.0}, 5);
+  extra.push_back(std::byte{1});
+  EXPECT_FALSE(decode_vec_frame(extra).has_value());
+  EXPECT_FALSE(decode_vec_round(extra).has_value());
+  ByteWriter w;
+  w.put_u8(static_cast<std::uint8_t>(MsgType::kVecRound));
+  w.put_varint(1);
+  w.put_varint(1);
+  w.put_f64(2.0);
+  w.put_varint(std::uint64_t{1} << 32);
+  EXPECT_FALSE(decode_vec_frame(std::move(w).take()).has_value());
+  Bytes cut = encode_vec_round(1, {2.0}, 300);  // two-byte varint
+  cut.pop_back();
+  EXPECT_FALSE(decode_vec_frame(cut).has_value());
+}
+
 }  // namespace
 }  // namespace apxa::core

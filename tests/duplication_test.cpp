@@ -6,8 +6,8 @@
 
 #include <memory>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
+#include "crash_round.hpp"
 #include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "net/sim.hpp"
@@ -26,10 +26,7 @@ TEST(Duplication, DeliveriesExceedSendsAtHighProbability) {
   const SystemParams p{5, 1};
   net::SimNetwork net(p, std::make_unique<sched::RandomScheduler>(1));
   net.enable_duplication(1.0, 7);  // every message duplicated
-  for (ProcessId i = 0; i < 5; ++i) {
-    net.add_process(std::make_unique<RoundAaProcess>(
-        crash_aa_config(p, static_cast<double>(i), 2)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), 2));
   net.start();
   net.run();  // drain fully so every duplicate lands
   EXPECT_TRUE(net.all_correct_output());
@@ -42,10 +39,7 @@ TEST(Duplication, CrashProtocolSafetyUnchanged) {
     net::SimNetwork net(p, std::make_unique<sched::RandomScheduler>(3));
     net.enable_duplication(prob, 11);
     const Round rounds = rounds_for_bound(1.0, 1e-3, Averager::kMean, p);
-    for (ProcessId i = 0; i < 7; ++i) {
-      net.add_process(std::make_unique<RoundAaProcess>(
-          crash_aa_config(p, static_cast<double>(i) / 6.0, rounds)));
-    }
+    add_parties(net, crash_round(p, linear_inputs(p.n, 0.0, 1.0), rounds));
     net.crash_after_sends(0, 10);
     net.start();
     net.run_until([&net] { return net.all_correct_output(); });
@@ -67,10 +61,7 @@ TEST(Duplication, OutputsIdenticalToDedupedRun) {
   auto run_with_dup = [&](bool dup) {
     net::SimNetwork net(p, std::make_unique<sched::FifoScheduler>());
     if (dup) net.enable_duplication(1.0, 5);
-    for (ProcessId i = 0; i < 5; ++i) {
-      net.add_process(std::make_unique<RoundAaProcess>(
-          crash_aa_config(p, static_cast<double>(i), 3)));
-    }
+    add_parties(net, crash_round(p, id_inputs(p.n), 3));
     net.start();
     net.run_until([&net] { return net.all_correct_output(); });
     return net.correct_vector_outputs();

@@ -7,7 +7,6 @@
 
 #include "analysis/rate_meter.hpp"
 #include "analysis/worst_case.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/sync_aa.hpp"
 #include "harness/harness.hpp"

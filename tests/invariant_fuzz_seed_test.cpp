@@ -20,7 +20,6 @@
 #include "adversary/byzantine.hpp"
 #include "adversary/crash_plan.hpp"
 #include "common/rng.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 #include "invariant_oracle.hpp"

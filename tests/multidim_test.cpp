@@ -3,7 +3,6 @@
 
 #include <cmath>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/codec.hpp"
 #include "core/multidim.hpp"

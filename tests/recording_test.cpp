@@ -3,7 +3,8 @@
 
 #include <memory>
 
-#include "core/async_byz.hpp"
+#include "core/bounds.hpp"
+#include "crash_round.hpp"
 #include "net/sim.hpp"
 #include "sched/random_scheduler.hpp"
 #include "sched/recording_scheduler.hpp"
@@ -18,10 +19,7 @@ TEST(Recording, CapturesEverySendAndDelivery) {
   RecordingScheduler* handle = rec.get();
 
   net::SimNetwork net(p, std::move(rec));
-  for (ProcessId i = 0; i < 4; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), 3)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), 3));
   net.start();
   net.run();
 
@@ -44,10 +42,7 @@ TEST(Recording, CountsDropsAtCrashedReceivers) {
   RecordingScheduler* handle = rec.get();
 
   net::SimNetwork net(p, std::move(rec));
-  for (ProcessId i = 0; i < 4; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), 2)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), 2));
   net.crash_at_time(3, 0.0);  // party 3 never receives anything
   net.start();
   net.run();
@@ -61,10 +56,7 @@ TEST(Recording, SequencesAreMonotoneInLog) {
       std::make_unique<RandomScheduler>(1));
   RecordingScheduler* handle = rec.get();
   net::SimNetwork net(p, std::move(rec));
-  for (ProcessId i = 0; i < 3; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, 0.5, 2)));
-  }
+  add_parties(net, crash_round(p, std::vector<double>(p.n, 0.5), 2));
   net.start();
   net.run();
   for (std::size_t i = 1; i < handle->sends().size(); ++i) {

@@ -7,10 +7,11 @@
 #include <memory>
 
 #include "adversary/byzantine.hpp"
-#include "core/async_byz.hpp"
+#include "core/bounds.hpp"
 #include "core/codec.hpp"
 #include "core/multidim.hpp"
 #include "core/round_engine.hpp"
+#include "crash_round.hpp"
 #include "harness/harness.hpp"
 #include "net/sim.hpp"
 #include "scalar_outputs.hpp"
@@ -99,10 +100,9 @@ class GarbageSprayer final : public net::Process {
 TEST(GarbageInjection, CrashProtocolUnaffected) {
   const SystemParams p{7, 2};
   net::SimNetwork net(p, std::make_unique<sched::RandomScheduler>(3));
-  for (ProcessId i = 0; i < 6; ++i) {
-    net.add_process(std::make_unique<RoundAaProcess>(
-        crash_aa_config(p, static_cast<double>(i), 6)));
-  }
+  auto parties = harness::build_processes(crash_round(p, id_inputs(p.n), 6), {});
+  parties.pop_back();  // party 6 is the sprayer
+  for (auto& proc : parties) net.add_process(std::move(proc));
   net.add_process(std::make_unique<GarbageSprayer>(5));
   net.mark_byzantine(6);
   net.start();
@@ -176,10 +176,7 @@ TEST(TimedCrash, MidRunCrashStillConverges) {
 
   // Crash two parties at virtual times inside the run.
   net::SimNetwork net(cfg.params, std::make_unique<sched::RandomScheduler>(1));
-  for (ProcessId i = 0; i < 7; ++i) {
-    net.add_process(std::make_unique<RoundAaProcess>(
-        crash_aa_config(cfg.params, cfg.inputs[i], 8)));
-  }
+  add_parties(net, cfg);
   net.crash_at_time(1, 2.5);
   net.crash_at_time(5, 4.0);
   net.start();
@@ -239,16 +236,14 @@ TEST(ByzCaps, RoundAttackerBounded) {
   spec.who = 3;
   spec.kind = adversary::ByzKind::kExtremeHigh;
   spec.max_instances = 5;
-  for (ProcessId i = 0; i < 3; ++i) {
-    RoundAaConfig pc = crash_aa_config(p, 0.0, 1);
-    pc.mode = TerminationMode::kLive;  // never stops on its own
-    net.add_process(std::make_unique<RoundAaProcess>(pc));
-  }
-  net.add_process(std::make_unique<adversary::ByzRoundProcess>(spec));
+  auto cfg = crash_round(p, std::vector<double>(p.n, 0.0), 1'000'000);
+  cfg.mode = TerminationMode::kLive;  // a horizon far past the delivery cap
+  cfg.byz = {spec};
+  add_parties(net, cfg);
   net.mark_byzantine(3);
   net.start();
-  // Live correct parties generate unbounded rounds; cap deliveries and check
-  // the attacker's send count stayed within 5 rounds x 3 receivers.
+  // Live correct parties generate rounds until the delivery cap; check the
+  // attacker's send count stayed within 5 rounds x 3 receivers.
   net.run(20'000);
   EXPECT_LE(net.metrics().sent_by[3], 5u * 3u);
 }

@@ -15,7 +15,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/async_byz.hpp"
+#include "core/bounds.hpp"
 #include "harness/harness.hpp"
 #include "harness/session.hpp"
 

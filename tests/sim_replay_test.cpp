@@ -16,8 +16,8 @@
 
 #include "adversary/byzantine.hpp"
 #include "adversary/crash_plan.hpp"
-#include "core/async_byz.hpp"
-#include "core/async_crash.hpp"
+#include "core/bounds.hpp"
+#include "crash_round.hpp"
 #include "exec/sim_backend.hpp"
 #include "harness/harness.hpp"
 #include "harness/session.hpp"
@@ -390,10 +390,7 @@ TEST(SimReplay, RunUntilDoneIsRunUntilOverCorrectOutputs) {
         p, std::make_unique<sched::RandomScheduler>(5));
     net->enable_duplication(0.5, 7);
     net->crash_after_sends(2, 9);
-    for (ProcessId i = 0; i < p.n; ++i) {
-      net->add_process(std::make_unique<core::RoundAaProcess>(
-          core::crash_aa_config(p, static_cast<double>(i), 4)));
-    }
+    add_parties(*net, crash_round(p, id_inputs(p.n), 4));
     net->start();
     return net;
   };

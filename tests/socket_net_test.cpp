@@ -19,8 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "core/async_byz.hpp"
-#include "core/async_crash.hpp"
+#include "core/bounds.hpp"
+#include "crash_round.hpp"
 #include "harness/build.hpp"
 #include "harness/harness.hpp"
 #include "net/metrics.hpp"
@@ -309,16 +309,13 @@ TEST(UdpSocket, LoopbackDatagramRoundTrip) {
 constexpr SystemParams kP{5, 1};
 constexpr Round kRounds = 6;
 
-void add_crash_aa_parties(rt::SocketNetwork& net) {
-  for (ProcessId i = 0; i < kP.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(kP, static_cast<double>(i), kRounds)));
-  }
+void add_crash_round_parties(rt::SocketNetwork& net) {
+  add_parties(net, crash_round(kP, id_inputs(kP.n), kRounds));
 }
 
 TEST(SocketNet, CleanRunConvergesWithExactLogicalCounts) {
   rt::SocketNetwork net(kP);
-  add_crash_aa_parties(net);
+  add_crash_round_parties(net);
   ASSERT_TRUE(net.run(30'000ms));
   EXPECT_TRUE(net.all_correct_output());
   const auto outs = scalar_outputs(net.correct_vector_outputs());
@@ -340,7 +337,7 @@ TEST(SocketNet, InjectedLossForcesRetransmissionButNotLogicalInflation) {
   faults.reorder = 0.05;
   faults.seed = 11;
   net.set_fault_config(faults);
-  add_crash_aa_parties(net);
+  add_crash_round_parties(net);
   ASSERT_TRUE(net.run(60'000ms)) << "perfect link must absorb 15% loss";
   EXPECT_TRUE(net.all_correct_output());
 
@@ -360,7 +357,7 @@ TEST(SocketNet, BatchingKeepsLogicalCountsAndPacksPackets) {
   auto run_with_batching = [](std::uint32_t batch) {
     rt::SocketNetwork net(kP);
     if (batch > 0) net.enable_batching(batch);
-    add_crash_aa_parties(net);
+    add_crash_round_parties(net);
     EXPECT_TRUE(net.run(30'000ms));
     return net.metrics();
   };
@@ -374,7 +371,7 @@ TEST(SocketNet, BatchingKeepsLogicalCountsAndPacksPackets) {
 TEST(SocketNet, CrashAfterSendsCountsLogicalSends) {
   rt::SocketNetwork net(kP);
   net.crash_after_sends(4, 4);  // one full round-0 multicast, then crash
-  add_crash_aa_parties(net);
+  add_crash_round_parties(net);
   ASSERT_TRUE(net.run(30'000ms));
   EXPECT_FALSE(net.is_correct(4));
   EXPECT_EQ(net.metrics().sent_by[4], 4u);
@@ -387,7 +384,7 @@ TEST(SocketNet, LinkStateSnapshotCoversEveryLocalParty) {
   faults.loss = 0.10;
   faults.seed = 5;
   net.set_fault_config(faults);
-  add_crash_aa_parties(net);
+  add_crash_round_parties(net);
   ASSERT_TRUE(net.run(60'000ms));
   const auto lines = net.link_state_jsonl();
   ASSERT_EQ(lines.size(), kP.n);
@@ -408,7 +405,7 @@ TEST(SocketNet, TraceRecordsRetransmitEvents) {
   faults.seed = 3;
   net.set_fault_config(faults);
   net.set_trace(&trace);
-  add_crash_aa_parties(net);
+  add_crash_round_parties(net);
   ASSERT_TRUE(net.run(60'000ms));
   std::size_t retransmit_events = 0;
   for (const auto& ev : trace.snapshot()) {

@@ -4,9 +4,9 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "core/multiset_ops.hpp"
+#include "crash_round.hpp"
 #include "runtime/thread_net.hpp"
 #include "scalar_outputs.hpp"
 
@@ -22,10 +22,7 @@ TEST(ThreadNet, CrashAaConvergesFaultFree) {
   const double eps = 1e-3;
   const Round rounds =
       core::rounds_for_bound(1.0, eps, core::Averager::kMean, p);
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, inputs[i], rounds)));
-  }
+  add_parties(net, crash_round(p, inputs, rounds));
   ASSERT_TRUE(net.run(10s));
   const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), p.n);
@@ -39,10 +36,7 @@ TEST(ThreadNet, SurvivesCrashedParty) {
   const SystemParams p{5, 1};
   ThreadNetwork net(p);
   const Round rounds = 6;
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), rounds)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), rounds));
   net.crash(4);  // crashed before start: silent the whole run
   ASSERT_TRUE(net.run(10s));
   const auto outs = scalar_outputs(net.correct_vector_outputs());
@@ -56,10 +50,12 @@ TEST(ThreadNet, SurvivesCrashedParty) {
 TEST(ThreadNet, AdaptiveModeTerminates) {
   const SystemParams p{7, 2};
   ThreadNetwork net(p);
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_adaptive_config(p, static_cast<double>(i) * 3.0, 1e-2)));
-  }
+  std::vector<double> inputs = id_inputs(p.n);
+  for (double& x : inputs) x *= 3.0;
+  auto cfg = crash_round(p, inputs, 0);
+  cfg.mode = core::TerminationMode::kAdaptive;
+  cfg.epsilon = 1e-2;
+  add_parties(net, cfg);
   ASSERT_TRUE(net.run(20s));
   EXPECT_EQ(net.correct_vector_outputs().size(), p.n);
 }
@@ -67,10 +63,7 @@ TEST(ThreadNet, AdaptiveModeTerminates) {
 TEST(ThreadNet, MetricsAccumulate) {
   const SystemParams p{4, 1};
   ThreadNetwork net(p);
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), 3)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), 3));
   ASSERT_TRUE(net.run(10s));
   // 3 rounds of 4 * 3 messages each (all parties run all rounds).
   EXPECT_EQ(net.metrics().messages_sent, 36u);
@@ -81,10 +74,7 @@ TEST(ThreadNet, RepeatedRunsAreIndependent) {
   for (int rep = 0; rep < 3; ++rep) {
     const SystemParams p{4, 1};
     ThreadNetwork net(p);
-    for (ProcessId i = 0; i < p.n; ++i) {
-      net.add_process(std::make_unique<core::RoundAaProcess>(
-          core::crash_aa_config(p, 1.0, 2)));
-    }
+    add_parties(net, crash_round(p, std::vector<double>(p.n, 1.0), 2));
     ASSERT_TRUE(net.run(10s));
     for (const auto& y : net.correct_vector_outputs()) EXPECT_EQ(y[0], 1.0);
   }
@@ -101,10 +91,7 @@ TEST(ThreadNet, CrashAfterSendsStopsMidMulticast) {
   const SystemParams p{5, 1};
   ThreadNetwork net(p);
   const Round rounds = 4;
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), rounds)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), rounds));
   // Victim 4's round-0 multicast reaches only parties {0, 1}: the third
   // send fires the crash and the fourth finds the party already crashed.
   // Both happen inside on_start, so the drop count is deterministic even
@@ -130,10 +117,7 @@ TEST(ThreadNet, CrashExactlyAtSendBudgetStopsReceiving) {
   const SystemParams p{5, 1};
   ThreadNetwork net(p);
   const Round rounds = 3;
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), rounds)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), rounds));
   // The budget covers every multicast of the full run: the crash fires on
   // the last send the party would ever make.
   net.crash_after_sends(4, static_cast<std::uint64_t>(rounds) * (p.n - 1));
@@ -153,10 +137,7 @@ TEST(ThreadNet, CrashAfterSendsCountsLogicalSendsUnderBatching) {
   const SystemParams p{5, 1};
   ThreadNetwork net(p);
   const Round rounds = 4;
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), rounds)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), rounds));
   net.enable_batching(8);
   net.set_multicast_order(4, {0, 1, 2, 3});
   net.crash_after_sends(4, 2);
@@ -180,10 +161,7 @@ TEST(ThreadNet, BatchingPreservesResultAndLogicalCounts) {
   auto run_once = [](std::uint32_t batch) {
     const SystemParams p{4, 1};
     ThreadNetwork net(p);
-    for (ProcessId i = 0; i < p.n; ++i) {
-      net.add_process(std::make_unique<core::RoundAaProcess>(
-          core::crash_aa_config(p, static_cast<double>(i), 3)));
-    }
+    add_parties(net, crash_round(p, id_inputs(p.n), 3));
     if (batch > 0) net.enable_batching(batch);
     EXPECT_TRUE(net.run(10s));
     EXPECT_EQ(net.correct_vector_outputs().size(), p.n);
@@ -205,10 +183,7 @@ TEST(ThreadNet, ShardedDeliveryConvergesWithFewShards) {
   net.set_shards(2);
   EXPECT_EQ(net.shards(), 2u);
   const std::vector<double> inputs{0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, inputs[i], 5)));
-  }
+  add_parties(net, crash_round(p, inputs, 5));
   ASSERT_TRUE(net.run(20s));
   EXPECT_EQ(net.correct_vector_outputs().size(), p.n);
 }
@@ -216,10 +191,7 @@ TEST(ThreadNet, ShardedDeliveryConvergesWithFewShards) {
 TEST(ThreadNet, CrashAfterZeroSendsIsStartupCrash) {
   const SystemParams p{5, 1};
   ThreadNetwork net(p);
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), 3)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), 3));
   net.crash_after_sends(0, 0);
   ASSERT_TRUE(net.run(20s));
   EXPECT_EQ(net.correct_vector_outputs().size(), 4u);
@@ -239,10 +211,9 @@ class InertProcess final : public net::Process {
 TEST(ThreadNet, ByzantinePartyExcludedFromCompletionWait) {
   const SystemParams p{4, 1};
   ThreadNetwork net(p);
-  for (ProcessId i = 0; i + 1 < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), 3)));
-  }
+  auto parties = harness::build_processes(crash_round(p, id_inputs(p.n), 3), {});
+  parties.pop_back();  // party 3 is the inert byzantine one
+  for (auto& proc : parties) net.add_process(std::move(proc));
   net.add_process(std::make_unique<InertProcess>());
   net.mark_byzantine(3);
   // Honest parties wait for n - t = 3 values per round (self + two peers),

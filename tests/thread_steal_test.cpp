@@ -20,8 +20,8 @@
 #include <memory>
 
 #include "common/bytes.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
+#include "crash_round.hpp"
 #include "runtime/thread_net.hpp"
 #include "scalar_outputs.hpp"
 
@@ -156,10 +156,7 @@ TEST(ThreadSteal, CrashBudgetExactUnderStealing) {
     const SystemParams p{5, 1};
     ThreadNetwork net(p);
     net.set_shards(shards);
-    for (ProcessId i = 0; i < p.n; ++i) {
-      net.add_process(std::make_unique<core::RoundAaProcess>(
-          core::crash_aa_config(p, static_cast<double>(i), 4)));
-    }
+    add_parties(net, crash_round(p, id_inputs(p.n), 4));
     net.set_multicast_order(4, {0, 1, 2, 3});
     net.crash_after_sends(4, 2);
     ASSERT_TRUE(net.run(30s));
@@ -181,10 +178,7 @@ TEST(ThreadSteal, ConvergesWithSingleWorker) {
   net.set_shards(1);
   const double eps = 1e-3;
   const Round rounds = core::rounds_for_bound(4.0, eps, core::Averager::kMean, p);
-  for (ProcessId i = 0; i < p.n; ++i) {
-    net.add_process(std::make_unique<core::RoundAaProcess>(
-        core::crash_aa_config(p, static_cast<double>(i), rounds)));
-  }
+  add_parties(net, crash_round(p, id_inputs(p.n), rounds));
   ASSERT_TRUE(net.run(30s));
   const auto outs = scalar_outputs(net.correct_vector_outputs());
   ASSERT_EQ(outs.size(), p.n);

@@ -6,11 +6,11 @@
 // backends; the coordinate-wise guarantees must not.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <chrono>
 
 #include "adversary/crash_plan.hpp"
 #include "backend_matrix.hpp"
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "exec/sim_backend.hpp"
 #include "exec/thread_backend.hpp"
@@ -250,9 +250,8 @@ TEST(VectorSim, RunManyMatchesSerialRuns) {
 }
 
 TEST(VectorSim, DimensionOneMatchesScalarCrashVerdicts) {
-  // A d = 1 vector run is the scalar protocol over a one-element vector: the
-  // verdicts (validity, agreement) must coincide with the scalar harness on
-  // the same inputs even though the wire format differs.
+  // kCrashRound IS kVectorCrash at d = 1 (one process, one wire format):
+  // outputs and traffic must coincide bit for bit, not just the verdicts.
   const SystemParams p{6, 1};
   const Round rounds =
       core::rounds_for_bound(1.0, 1e-3, core::Averager::kMean, p);
@@ -274,7 +273,14 @@ TEST(VectorSim, DimensionOneMatchesScalarCrashVerdicts) {
 
   EXPECT_EQ(srep.validity_ok, vrep.box_validity_ok);
   EXPECT_EQ(srep.agreement_ok, vrep.agreement_ok);
+  ASSERT_EQ(srep.outputs.size(), vrep.outputs.size());
+  for (std::size_t i = 0; i < srep.outputs.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(srep.outputs[i]),
+              std::bit_cast<std::uint64_t>(vrep.outputs[i].at(0)))
+        << "party " << i;
+  }
   EXPECT_EQ(srep.metrics.messages_sent, vrep.metrics.messages_sent);
+  EXPECT_EQ(srep.metrics.payload_bytes, vrep.metrics.payload_bytes);
 }
 
 // --- staging / validation ---------------------------------------------------

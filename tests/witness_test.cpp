@@ -1,7 +1,6 @@
 // AAD'04 witness-technique AA: optimal t < n/3 byzantine resilience.
 #include <gtest/gtest.h>
 
-#include "core/async_byz.hpp"
 #include "core/bounds.hpp"
 #include "harness/harness.hpp"
 
