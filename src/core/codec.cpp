@@ -1,6 +1,5 @@
 #include "core/codec.hpp"
 
-#include <cstring>
 #include <limits>
 
 namespace apxa::core {
@@ -24,16 +23,6 @@ std::optional<std::vector<double>> read_point(ByteReader& r) {
   }
   std::vector<double> v(dim);
   for (double& x : v) x = r.get_f64();
-  return v;
-}
-
-double load_f64(const std::byte* p) {
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  }
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
   return v;
 }
 
@@ -185,11 +174,14 @@ Bytes encode_vec_round(Round r, const std::vector<double>& v,
   return std::move(w).take();
 }
 
-double VecFrame::coord(std::uint32_t c) const { return load_f64(&point[8 * c]); }
+double VecFrame::coord(std::uint32_t c) const {
+  return ByteReader(point.subspan(8 * c, 8)).get_f64();
+}
 
 std::vector<double> VecFrame::values() const {
+  ByteReader r(point);
   std::vector<double> v(dim());
-  for (std::uint32_t c = 0; c < v.size(); ++c) v[c] = coord(c);
+  for (double& x : v) x = r.get_f64();
   return v;
 }
 
